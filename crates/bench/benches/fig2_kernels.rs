@@ -1,18 +1,15 @@
 //! Criterion microbenchmarks behind Figure 2: the sequential kernels at
 //! several block sizes, plus the kernel-engine ablation (naive vs
-//! branchless vs legacy-tiled vs packed vs rayon-parallel min-plus).
+//! branchless vs packed min-plus).
 //!
-//! The `minplus_large` group is the acceptance gate for the packed
-//! register-blocked engine: packed must beat the legacy tiled kernel by
-//! ≥ 1.5× at block sides 256–1024. `results/BENCH_kernels.json`
+//! The `minplus_large` group compares the two engine tiers at the
+//! paper-relevant block sides 256–1024. `results/BENCH_kernels.json`
 //! (regenerated by `cargo run --release -p apsp-bench --bin
 //! bench_kernels`) records the same comparison as a trajectory baseline.
 
-use apsp_blockmat::{kernels, Block};
+use apsp_blockmat::kernels::{self, MinPlusKernel};
+use apsp_blockmat::Block;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-
-/// A named kernel entry point under comparison.
-type KernelFn = fn(&Block, &Block, &mut Block);
 
 fn dense_block(b: usize, seed: usize) -> Block {
     Block::from_fn(b, |i, j| {
@@ -46,18 +43,16 @@ fn bench_minplus_variants(c: &mut Criterion) {
         let a = dense_block(b, 2);
         let x = dense_block(b, 3);
         group.throughput(Throughput::Elements((b * b * b) as u64));
-        let variants: [(&str, KernelFn); 5] = [
-            ("naive", kernels::min_plus_into_naive),
-            ("branchless", kernels::min_plus_into_branchless),
-            ("tiled", kernels::min_plus_into_tiled),
-            ("packed", kernels::min_plus_into_packed),
-            ("parallel", kernels::min_plus_into_parallel),
+        let variants = [
+            ("naive", MinPlusKernel::Naive),
+            ("branchless", MinPlusKernel::Branchless),
+            ("packed", MinPlusKernel::Packed),
         ];
         for (name, kernel) in variants {
             group.bench_with_input(BenchmarkId::new(name, b), &b, |bench, _| {
                 bench.iter(|| {
                     let mut out = Block::infinity(b);
-                    kernel(&a, &x, &mut out);
+                    kernels::min_plus_into_with(kernel, &a, &x, &mut out);
                     out
                 });
             });
@@ -66,9 +61,8 @@ fn bench_minplus_variants(c: &mut Criterion) {
     group.finish();
 }
 
-/// The tentpole comparison: legacy tiled vs the packed engine at the
-/// paper-relevant block sides. Naive is omitted (minutes per sample at
-/// b = 1024); `--test` smoke mode runs only the smallest side.
+/// Branchless vs the packed engine at the paper-relevant block sides.
+/// `--test` smoke mode runs only the smallest side.
 fn bench_minplus_large(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig2/minplus_large");
     let sides: &[usize] = if criterion::is_test_mode() {
@@ -80,16 +74,15 @@ fn bench_minplus_large(c: &mut Criterion) {
         let a = dense_block(b, 5);
         let x = dense_block(b, 6);
         group.throughput(Throughput::Elements((b * b * b) as u64));
-        let variants: [(&str, KernelFn); 3] = [
-            ("tiled", kernels::min_plus_into_tiled),
-            ("packed", kernels::min_plus_into_packed),
-            ("parallel", kernels::min_plus_into_parallel),
+        let variants = [
+            ("branchless", MinPlusKernel::Branchless),
+            ("packed", MinPlusKernel::Packed),
         ];
         for (name, kernel) in variants {
             group.bench_with_input(BenchmarkId::new(name, b), &b, |bench, _| {
                 bench.iter(|| {
                     let mut out = Block::infinity(b);
-                    kernel(&a, &x, &mut out);
+                    kernels::min_plus_into_with(kernel, &a, &x, &mut out);
                     out
                 });
             });

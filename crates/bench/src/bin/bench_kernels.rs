@@ -4,8 +4,9 @@
 //! Times every min-plus kernel variant (and the in-place Floyd-Warshall)
 //! across block sides and records GFLOP-equivalent rates (one add + one
 //! min per inner step, `2·b³` ops per product) to
-//! `results/BENCH_kernels.json`, so later PRs can diff kernel performance
-//! against a committed baseline instead of folklore.
+//! `results/BENCH_kernels.json`, stamped with the machine it ran on, so
+//! later PRs can diff kernel performance against a committed baseline
+//! instead of folklore.
 //!
 //! Usage: `cargo run --release -p apsp-bench --bin bench_kernels
 //! [--quick]`. `--quick` restricts to small sides (CI-friendly); the
@@ -60,7 +61,15 @@ struct KernelPoint {
     side: usize,
     seconds: f64,
     gflops_equiv: f64,
-    speedup_vs_tiled: f64,
+    /// The naive oracle loop's time over this row's time at the same side.
+    speedup_vs_naive: f64,
+}
+
+#[derive(serde::Serialize)]
+struct FwPoint {
+    side: usize,
+    seconds: f64,
+    gflops_equiv: f64,
 }
 
 #[derive(serde::Serialize)]
@@ -79,8 +88,8 @@ struct AlgebraPoint {
     algebra: String,
     /// Which tier the row timed: `fallback` (the generic `PathAlgebra`
     /// default loops, via a shim algebra with no hook overrides) or the
-    /// specialized engine Auto dispatches to (the packed (max, min) tier
-    /// / the bitset tier).
+    /// engine Auto dispatches to (the `f64` engine's tier for this side,
+    /// monomorphised for (max, min) / the bitset tier).
     kernel: String,
     side: usize,
     seconds: f64,
@@ -94,19 +103,67 @@ struct AlgebraPoint {
     slowdown_vs_tropical: f64,
 }
 
+/// What a `results/BENCH_*.json` file was measured on, so a baseline from
+/// a one-core box cannot pass for one from a many-core box. Fields the
+/// host cannot answer read `unknown`.
+#[derive(serde::Serialize)]
+struct MachineStamp {
+    /// Cores available to this process.
+    nproc: usize,
+    /// `model name` from `/proc/cpuinfo`.
+    cpu_model: String,
+    /// `rustc -V`.
+    rustc: String,
+    /// `git rev-parse HEAD` of the checkout the harness ran in.
+    git_sha: String,
+}
+
+impl MachineStamp {
+    /// Reads the stamp from the host.
+    fn collect() -> Self {
+        let first_line_of = |cmd: &str, args: &[&str]| {
+            std::process::Command::new(cmd)
+                .args(args)
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .and_then(|o| String::from_utf8(o.stdout).ok())
+                .and_then(|s| s.lines().next().map(str::to_string))
+                .unwrap_or_else(|| "unknown".into())
+        };
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|s| {
+                s.lines()
+                    .find(|l| l.starts_with("model name"))
+                    .and_then(|l| l.split(':').nth(1))
+                    .map(|m| m.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".into());
+        MachineStamp {
+            nproc: std::thread::available_parallelism().map_or(0, |p| p.get()),
+            cpu_model,
+            rustc: first_line_of("rustc", &["-V"]),
+            git_sha: first_line_of("git", &["rev-parse", "HEAD"]),
+        }
+    }
+}
+
 #[derive(serde::Serialize)]
 struct Baseline {
     description: &'static str,
     ops_model: &'static str,
     samples: usize,
+    machine: MachineStamp,
     minplus: Vec<KernelPoint>,
-    /// Tracked (argmin-recording) kernel tier, PR 3.
+    /// The tracked (argmin-recording) row-streaming loop.
     tracked: Vec<TrackedPoint>,
-    /// Non-tropical path algebras, PR 6: bottleneck (max, min) and
-    /// boolean (∨, ∧) fold-products, each timed on the generic fallback
-    /// loop and on its specialized tier (packed (max, min) / bitset).
+    /// Non-tropical path algebras: bottleneck (max, min) and boolean
+    /// (∨, ∧) fold-products, each timed on the generic fallback loop and
+    /// on the engine tier Auto picks ((max, min) on the `f64` engine /
+    /// bitset).
     algebra: Vec<AlgebraPoint>,
-    floyd_warshall: Vec<KernelPoint>,
+    floyd_warshall: Vec<FwPoint>,
 }
 
 fn dense_block(b: usize, seed: usize) -> Block {
@@ -137,65 +194,52 @@ fn main() {
     } else {
         &[64, 128, 256, 512, 1024]
     };
-    // Tiled first: it is the pre-engine baseline every speedup is
+    // Naive first: the oracle loop is the baseline every speedup is
     // computed against.
-    let variants: [(MinPlusKernel, &str); 5] = [
-        (MinPlusKernel::Tiled, "tiled"),
+    let variants: [(MinPlusKernel, &str); 3] = [
         (MinPlusKernel::Naive, "naive"),
         (MinPlusKernel::Branchless, "branchless"),
         (MinPlusKernel::Packed, "packed"),
-        (MinPlusKernel::Parallel, "parallel"),
     ];
 
     let mut minplus = Vec::new();
-    let mut table = TextTable::new(&["side", "kernel", "time", "GFLOP-eq/s", "vs tiled"]);
+    let mut table = TextTable::new(&["side", "kernel", "time", "GFLOP-eq/s", "vs naive"]);
     for &b in sides {
         let a = dense_block(b, 2);
         let x = dense_block(b, 3);
         let mut c = Block::infinity(b);
         let ops = 2.0 * (b as f64).powi(3);
-        let mut tiled_secs = f64::NAN;
+        let mut naive_secs = f64::NAN;
         for (kernel, name) in variants {
-            if kernel == MinPlusKernel::Naive && b > 256 {
-                continue; // minutes per sample; the oracle is not a contender
-            }
             let secs = best_of(|| {
                 c.data_mut().fill(apsp_blockmat::INF);
                 kernels::min_plus_into_with(kernel, &a, &x, &mut c);
             });
-            if kernel == MinPlusKernel::Tiled {
-                tiled_secs = secs;
+            if kernel == MinPlusKernel::Naive {
+                naive_secs = secs;
             }
-            let speedup = tiled_secs / secs;
+            let speedup = naive_secs / secs;
             minplus.push(KernelPoint {
                 kernel: name.into(),
                 side: b,
                 seconds: secs,
                 gflops_equiv: ops / secs / 1e9,
-                speedup_vs_tiled: speedup,
+                speedup_vs_naive: speedup,
             });
             table.row(vec![
                 b.to_string(),
                 name.into(),
                 format!("{:.3}ms", secs * 1e3),
                 format!("{:.2}", ops / secs / 1e9),
-                if speedup.is_nan() {
-                    "—".into()
-                } else {
-                    format!("{speedup:.2}×")
-                },
+                format!("{speedup:.2}×"),
             ]);
         }
     }
 
-    // Tracked (argmin-recording) tier: time the tracked auto-dispatch and
-    // the explicit tracked loops against the untracked auto-dispatch.
+    // Tracked (argmin-recording) tier: time the tracked row-streaming loop
+    // against the untracked auto-dispatch.
     let mut tracked = Vec::new();
     let mut ttable = TextTable::new(&["side", "kernel", "time", "GFLOP-eq/s", "overhead"]);
-    let tracked_variants: [(MinPlusKernel, &str); 2] = [
-        (MinPlusKernel::Branchless, "tracked-rows"),
-        (MinPlusKernel::Tiled, "tracked-tiled"),
-    ];
     for &b in sides {
         let a = dense_block(b, 2);
         let x = dense_block(b, 3);
@@ -213,36 +257,34 @@ fn main() {
             kernels::min_plus_into_with(MinPlusKernel::Auto, &a, &x, &mut c);
         });
         let mut via = ParentBlock::none(b);
-        for (kernel, name) in tracked_variants {
-            let secs = best_of(|| {
-                c.data_mut().fill(apsp_blockmat::INF);
-                via.data_mut().fill(apsp_blockmat::NO_VIA);
-                kernels::min_plus_into_tracked_with(kernel, &a, &x, &mut c, &mut via, offsets);
-            });
-            let overhead = secs / untracked_secs;
-            tracked.push(TrackedPoint {
-                kernel: name.into(),
-                side: b,
-                seconds: secs,
-                gflops_equiv: ops / secs / 1e9,
-                overhead_vs_untracked: overhead,
-            });
-            ttable.row(vec![
-                b.to_string(),
-                name.into(),
-                format!("{:.3}ms", secs * 1e3),
-                format!("{:.2}", ops / secs / 1e9),
-                format!("{overhead:.2}×"),
-            ]);
-        }
+        let secs = best_of(|| {
+            c.data_mut().fill(apsp_blockmat::INF);
+            via.data_mut().fill(apsp_blockmat::NO_VIA);
+            kernels::min_plus_into_tracked(&a, &x, &mut c, &mut via, offsets);
+        });
+        let overhead = secs / untracked_secs;
+        tracked.push(TrackedPoint {
+            kernel: "tracked-rows".into(),
+            side: b,
+            seconds: secs,
+            gflops_equiv: ops / secs / 1e9,
+            overhead_vs_untracked: overhead,
+        });
+        ttable.row(vec![
+            b.to_string(),
+            "tracked-rows".into(),
+            format!("{:.3}ms", secs * 1e3),
+            format!("{:.2}", ops / secs / 1e9),
+            format!("{overhead:.2}×"),
+        ]);
     }
 
     // Non-tropical path algebras: each fold-product timed twice — on the
     // generic fallback loops (via the no-override shim algebras above)
-    // and on the specialized tier Auto now dispatches to (the packed
-    // (max, min) engine / the bitset engine). The pair quantifies the
-    // specialized tier's payoff and how close each algebra runs to the
-    // packed tropical flagship.
+    // and on the tier Auto dispatches to (the `f64` engine monomorphised
+    // for (max, min) / the bitset engine). The pair quantifies the
+    // engine's payoff and how close each algebra runs to the tropical
+    // flagship.
     let mut algebra = Vec::new();
     let mut atable = TextTable::new(&[
         "side",
@@ -290,7 +332,7 @@ fn main() {
             wc.dist_mut().data_mut().fill(0.0);
             wc.min_plus_into_self(MinPlusKernel::Auto, &wa, &wx, o0);
         });
-        let maxmin_tier = format!("{:?}", kernels::select_maxmin(b)).to_lowercase();
+        let maxmin_tier = format!("{:?}", kernels::select(b)).to_lowercase();
 
         // Fully dense operands, like the capacity blocks above: the
         // generic loop's `0̄`-skip elides whole inner rows on sparse
@@ -360,12 +402,10 @@ fn main() {
             blk.data_mut().copy_from_slice(base.data());
             kernels::floyd_warshall_in_place(&mut blk);
         });
-        floyd_warshall.push(KernelPoint {
-            kernel: "fw_in_place".into(),
+        floyd_warshall.push(FwPoint {
             side: b,
             seconds: secs,
             gflops_equiv: ops / secs / 1e9,
-            speedup_vs_tiled: f64::NAN,
         });
     }
 
@@ -385,30 +425,19 @@ fn main() {
         );
     }
 
-    // Tiled speedups as NaN serialize to null; sanitize for JSON.
-    let sanitize = |points: Vec<KernelPoint>| -> Vec<KernelPoint> {
-        points
-            .into_iter()
-            .map(|mut p| {
-                if !p.speedup_vs_tiled.is_finite() {
-                    p.speedup_vs_tiled = 1.0;
-                }
-                p
-            })
-            .collect()
-    };
     let baseline = Baseline {
         description: "Kernel-engine perf trajectory: min-plus product and in-place \
                       Floyd-Warshall rates per kernel tier, the tracked \
-                      (argmin-recording) tier's overhead, and the non-tropical \
+                      (argmin-recording) loop's overhead, and the non-tropical \
                       algebras (bottleneck/boolean) on their fallback loops vs \
-                      the packed (max, min) and bitset tiers",
+                      the f64 engine's (max, min) instance and the bitset tier",
         ops_model: "2*b^3 flop-equivalents per product (one add + one min per inner step)",
         samples: SAMPLES,
-        minplus: sanitize(minplus),
+        machine: MachineStamp::collect(),
+        minplus,
         tracked,
         algebra,
-        floyd_warshall: sanitize(floyd_warshall),
+        floyd_warshall,
     };
     match apsp_bench::write_json("BENCH_kernels", &baseline) {
         Ok(path) => println!("\nwrote {}", path.display()),

@@ -48,9 +48,7 @@ fn main() {
         let x = dense_block(b, 3);
         let mut c = Block::infinity(b);
         let t1 = Instant::now();
-        // Explicitly packed: this harness measures the *sequential* rate,
-        // and auto-dispatch would go rayon-parallel at b >= 1024.
-        kernels::min_plus_into_packed(&a, &x, &mut c);
+        kernels::min_plus_into(&a, &x, &mut c);
         c.mat_min_assign(&a);
         let mp_s = t1.elapsed().as_secs_f64();
 

@@ -3,21 +3,21 @@
 
 use apsp_bench::{fmt_duration, TextTable};
 
-/// Regression guard for the hot path: the tropical auto-dispatch must
-/// keep selecting the packed/parallel `f64` tiers at solver-relevant
-/// block sides — a refactor that silently rerouted the tropical algebra
-/// onto the generic fallback loops would also change these selections.
+/// Regression guard for the hot path: the auto-dispatch — one selector
+/// for both `f64` algebras — must keep selecting the packed tier at
+/// solver-relevant block sides, and the tropical algebra must run on it,
+/// not on the generic fallback loops.
 #[test]
 fn tropical_auto_dispatch_keeps_the_packed_tier_at_large_sides() {
     use apsp_blockmat::kernels::{self, MinPlusKernel};
-    for side in [128usize, 129, 256, 512, 1023] {
+    for side in [128usize, 129, 256, 512, 1024, 4096] {
         assert_eq!(
             kernels::select(side),
             MinPlusKernel::Packed,
             "side {side} must stay on the packed register-blocked engine"
         );
     }
-    assert_eq!(kernels::select(1024), MinPlusKernel::Parallel);
+    assert_eq!(kernels::select(64), MinPlusKernel::Branchless);
 
     // And the Tropical path-algebra fold is bit-identical to the packed
     // kernel's output at the tier boundary (it dispatches into the same
@@ -54,34 +54,18 @@ fn tropical_auto_dispatch_keeps_the_packed_tier_at_large_sides() {
     assert_eq!(alg.dist(), &packed);
 }
 
-/// The PR 6 twin of the tropical guard: the non-tropical dispatchers must
-/// keep their specialized tiers — packed (max, min) at sides ≥ 128 for the
-/// bottleneck algebra, and the bitset tier for *every* reachability side.
+/// The non-tropical twin of the guard above: the bottleneck algebra must
+/// run on the packed engine at sides ≥ 128, and reachability on the
+/// bitset kernel.
 #[test]
 fn non_tropical_auto_dispatch_keeps_the_specialized_tiers() {
-    use apsp_blockmat::kernels::{self, BooleanKernel, MinPlusKernel};
-    for side in [128usize, 129, 256, 512, 1023] {
-        assert_eq!(
-            kernels::select_maxmin(side),
-            MinPlusKernel::Packed,
-            "side {side} must stay on the packed (max, min) engine"
-        );
-    }
-    assert_eq!(kernels::select_maxmin(64), MinPlusKernel::Branchless);
-    assert_eq!(kernels::select_maxmin(1024), MinPlusKernel::Parallel);
-    for side in [1usize, 64, 128, 1024, 4096] {
-        assert_eq!(
-            kernels::select_boolean(side),
-            BooleanKernel::Bitset,
-            "Reachability must always take the bitset tier (side {side})"
-        );
-    }
-
-    // The Widest fold Auto-dispatches into the same packed engine the
-    // explicit kernel runs (not the generic semiring loop)...
+    use apsp_blockmat::kernels::{self, MinPlusKernel};
     use apsp_blockmat::{
         AlgBlock, BitBlock, BoolSemiring, BottleneckF64, ElemBlock, Offsets, Reachability, Widest,
     };
+
+    // The Widest fold Auto-dispatches into the same packed engine the
+    // explicit kernel runs (not the generic semiring loop)...
     let b = 128;
     let o0 = Offsets {
         k: 0,
@@ -99,7 +83,7 @@ fn non_tropical_auto_dispatch_keeps_the_specialized_tiers() {
     };
     let (wa, wx) = (cap(2), cap(3));
     let mut packed = ElemBlock::<BottleneckF64>::zeros(b);
-    kernels::maxmin_into_with(MinPlusKernel::Packed, &wa, &wx, &mut packed);
+    kernels::min_plus_into_with(MinPlusKernel::Packed, &wa, &wx, &mut packed);
     let mut alg = AlgBlock::<Widest>::from_dist(ElemBlock::zeros(b));
     alg.min_plus_into_self(MinPlusKernel::Auto, &wa, &wx, o0);
     assert_eq!(alg.dist(), &packed);

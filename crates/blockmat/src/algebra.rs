@@ -13,19 +13,19 @@
 //!   element-wise join). Every operation has a generic fallback loop;
 //!   algebras with a specialized kernel tier override them.
 //! * [`Tropical`] — plain *(min, +)* over `f64` with the zero-sized `()`
-//!   payload. Overrides every hook with the packed/branchless/parallel
-//!   engine in [`crate::kernels`], so the APSP hot path is **bit-exact**
-//!   with (and exactly as fast as) the dedicated `f64` stack.
+//!   payload. Overrides every hook with the packed/branchless engine in
+//!   [`crate::kernels`], so the APSP hot path is **bit-exact** with (and
+//!   exactly as fast as) the dedicated `f64` stack.
 //! * [`TrackedTropical`] — tropical ⊗ argmin payload: each cell carries
 //!   the `u32` global id of the winning intermediate vertex. What used to
 //!   be a parallel `TrackedBlock` type hierarchy is this algebra riding
 //!   the same generic records. Overrides the hooks with the tracked
 //!   kernel tier.
 //! * [`Widest`] — the bottleneck *(max, min)* algebra over capacities
-//!   ([`BottleneckF64`]). Overrides the hooks with the packed *(max, min)*
-//!   twin of the tropical engine (`vmaxpd`/`vminpd` in place of
-//!   `vminpd`/`vaddpd`), sharing the same 4×8 register blocking, scratch
-//!   pools, and size-tier dispatch ([`kernels::select_maxmin`]).
+//!   ([`BottleneckF64`]). Runs on the same generic engine as [`Tropical`],
+//!   monomorphised for its semiring (`vmaxpd`/`vminpd` in place of
+//!   `vminpd`/`vaddpd`): one 4×8 register blocking, one set of scratch
+//!   pools, one size-tier dispatch ([`kernels::select`]).
 //! * [`Reachability`] — boolean transitive closure ([`BoolSemiring`]).
 //!   Overrides the hooks with the bitset engine: booleans packed 64 per
 //!   `u64` word ([`crate::BitBlock`]) so the *(∨, ∧)* product is a
@@ -252,92 +252,88 @@ where
 // Algebra instances
 // ---------------------------------------------------------------------------
 
+/// Implements [`PathAlgebra`] for an untracked `f64` algebra by forwarding
+/// every hook to the one generic kernel engine in [`crate::kernels`],
+/// monomorphised for the algebra's semiring. [`Tropical`] and [`Widest`]
+/// differ in nothing else.
+macro_rules! f64_engine_algebra {
+    ($algebra:ty, $semi:ty, $name:literal) => {
+        impl PathAlgebra for $algebra {
+            type Semi = $semi;
+            type Payload = ();
+            const TRACKS: bool = false;
+            const NAME: &'static str = $name;
+
+            #[inline(always)]
+            fn empty_payload() {}
+            #[inline(always)]
+            fn payload_for(_k_global: usize) {}
+
+            fn fold_product(
+                kernel: MinPlusKernel,
+                ad: &[f64],
+                bd: &[f64],
+                cd: &mut [f64],
+                _cp: &mut [()],
+                n: usize,
+                _o: Offsets,
+            ) {
+                kernels::fold_slices_with::<$semi>(kernel, ad, bd, cd, n);
+            }
+
+            fn product_assign(
+                kernel: MinPlusKernel,
+                cd: &mut [f64],
+                _cp: &mut [()],
+                other: &[f64],
+                n: usize,
+                _o: Offsets,
+            ) {
+                kernels::product_assign_slices::<$semi>(kernel, cd, other, n);
+            }
+
+            fn product_left_assign(
+                kernel: MinPlusKernel,
+                cd: &mut [f64],
+                _cp: &mut [()],
+                other: &[f64],
+                n: usize,
+                _o: Offsets,
+            ) {
+                kernels::product_left_assign_slices::<$semi>(kernel, cd, other, n);
+            }
+
+            fn closure_in_place(cd: &mut [f64], _cp: &mut [()], n: usize, _diag_offset: usize) {
+                kernels::fw_in_place_slices::<$semi>(cd, n);
+            }
+
+            fn rank1_update(
+                cd: &mut [f64],
+                _cp: &mut [()],
+                col_i: &[f64],
+                col_j: &[f64],
+                n: usize,
+                _k_global: usize,
+            ) {
+                kernels::rank1_slices::<$semi>(cd, col_i, col_j, n);
+            }
+
+            fn join(cd: &mut [f64], _cp: &mut [()], od: &[f64], _op: &[()]) {
+                kernels::join_slices::<$semi>(cd, od);
+            }
+        }
+    };
+}
+
 /// Plain tropical *(min, +)* over `f64` — APSP distances, no payload.
 ///
-/// Every hook forwards to the packed/branchless/parallel kernel engine,
-/// so a solve over this algebra is bit-exact with (and as fast as) the
-/// dedicated `f64` stack it replaced.
+/// Every hook forwards to the packed/branchless kernel engine, so a solve
+/// over this algebra is bit-exact with (and as fast as) the dedicated
+/// `f64` stack it replaced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Tropical;
 
-impl PathAlgebra for Tropical {
-    type Semi = TropicalF64;
-    type Payload = ();
-    const TRACKS: bool = false;
-    const NAME: &'static str = "tropical";
-
-    #[inline(always)]
-    fn empty_payload() {}
-    #[inline(always)]
-    fn payload_for(_k_global: usize) {}
-
-    fn fold_product(
-        kernel: MinPlusKernel,
-        ad: &[f64],
-        bd: &[f64],
-        cd: &mut [f64],
-        _cp: &mut [()],
-        n: usize,
-        _o: Offsets,
-    ) {
-        kernels::min_plus_slices_with(kernel, ad, bd, cd, n);
-    }
-
-    fn product_assign(
-        kernel: MinPlusKernel,
-        cd: &mut [f64],
-        _cp: &mut [()],
-        other: &[f64],
-        n: usize,
-        _o: Offsets,
-    ) {
-        kernels::with_scratch(n * n, |scratch| {
-            scratch.fill(INF);
-            kernels::min_plus_slices_with(kernel, cd, other, scratch, n);
-            for (d, &s) in cd.iter_mut().zip(scratch.iter()) {
-                *d = kernels::tmin(s, *d);
-            }
-        });
-    }
-
-    fn product_left_assign(
-        kernel: MinPlusKernel,
-        cd: &mut [f64],
-        _cp: &mut [()],
-        other: &[f64],
-        n: usize,
-        _o: Offsets,
-    ) {
-        kernels::with_scratch(n * n, |scratch| {
-            scratch.fill(INF);
-            kernels::min_plus_slices_with(kernel, other, cd, scratch, n);
-            for (d, &s) in cd.iter_mut().zip(scratch.iter()) {
-                *d = kernels::tmin(s, *d);
-            }
-        });
-    }
-
-    fn closure_in_place(cd: &mut [f64], _cp: &mut [()], n: usize, _diag_offset: usize) {
-        kernels::fw_in_place_slices(cd, n);
-    }
-
-    fn rank1_update(
-        cd: &mut [f64],
-        _cp: &mut [()],
-        col_i: &[f64],
-        col_j: &[f64],
-        n: usize,
-        _k_global: usize,
-    ) {
-        kernels::fw_update_outer_slices(cd, col_i, col_j, n);
-    }
-
-    fn join(cd: &mut [f64], _cp: &mut [()], od: &[f64], _op: &[()]) {
-        for (d, &o) in cd.iter_mut().zip(od) {
-            *d = kernels::tmin(o, *d);
-        }
-    }
-}
+f64_engine_algebra!(Tropical, TropicalF64, "tropical");
 
 /// Tropical ⊗ argmin payload: `f64` distances plus a `u32` via per cell.
 ///
@@ -363,7 +359,7 @@ impl PathAlgebra for TrackedTropical {
     }
 
     fn fold_product(
-        kernel: MinPlusKernel,
+        _kernel: MinPlusKernel,
         ad: &[f64],
         bd: &[f64],
         cd: &mut [f64],
@@ -371,11 +367,11 @@ impl PathAlgebra for TrackedTropical {
         n: usize,
         o: Offsets,
     ) {
-        kernels::min_plus_slices_tracked_with(kernel, ad, bd, cd, cp, n, o);
+        kernels::min_plus_slices_tracked(ad, bd, cd, cp, n, o);
     }
 
     fn product_assign(
-        kernel: MinPlusKernel,
+        _kernel: MinPlusKernel,
         cd: &mut [f64],
         cp: &mut [u32],
         other: &[f64],
@@ -386,14 +382,14 @@ impl PathAlgebra for TrackedTropical {
             kernels::with_via_scratch(n * n, |sv| {
                 sd.fill(INF);
                 sv.fill(NO_VIA);
-                kernels::min_plus_slices_tracked_with(kernel, cd, other, sd, sv, n, o);
+                kernels::min_plus_slices_tracked(cd, other, sd, sv, n, o);
                 kernels::fold_tracked(cd, cp, sd, sv);
             });
         });
     }
 
     fn product_left_assign(
-        kernel: MinPlusKernel,
+        _kernel: MinPlusKernel,
         cd: &mut [f64],
         cp: &mut [u32],
         other: &[f64],
@@ -404,7 +400,7 @@ impl PathAlgebra for TrackedTropical {
             kernels::with_via_scratch(n * n, |sv| {
                 sd.fill(INF);
                 sv.fill(NO_VIA);
-                kernels::min_plus_slices_tracked_with(kernel, other, cd, sd, sv, n, o);
+                kernels::min_plus_slices_tracked(other, cd, sd, sv, n, o);
                 kernels::fold_tracked(cd, cp, sd, sv);
             });
         });
@@ -433,94 +429,16 @@ impl PathAlgebra for TrackedTropical {
 /// The bottleneck / widest-path algebra *(max, min)* over `f64`
 /// capacities — all-pairs bottleneck paths (Shinn & Takaoka).
 ///
-/// Every hook forwards to the packed *(max, min)* engine in
-/// [`crate::kernels`]: the same 4×8 register-blocked micro-kernel,
-/// scratch-pooled fold entry points, and size-tier dispatch as the
-/// tropical fast path ([`kernels::select_maxmin`]), with `vmaxpd`/`vminpd`
-/// standing in for `vminpd`/`vaddpd` and `0.0` (no pipe) as the inert
-/// pad/skip value. Pin [`MinPlusKernel::Naive`] to run the branchy oracle
-/// loop instead.
+/// Runs on the same kernel engine as [`Tropical`], monomorphised for
+/// [`BottleneckF64`]: the same 4×8 register-blocked micro-kernel,
+/// scratch-pooled fold entry points, and size-tier dispatch
+/// ([`kernels::select`]), with `vmaxpd`/`vminpd` standing in for
+/// `vminpd`/`vaddpd` and `0.0` (no pipe) as the inert pad/skip value. Pin
+/// [`MinPlusKernel::Naive`] to run the branchy oracle loop instead.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Widest;
 
-impl PathAlgebra for Widest {
-    type Semi = BottleneckF64;
-    type Payload = ();
-    const TRACKS: bool = false;
-    const NAME: &'static str = "bottleneck";
-
-    #[inline(always)]
-    fn empty_payload() {}
-    #[inline(always)]
-    fn payload_for(_k_global: usize) {}
-
-    fn fold_product(
-        kernel: MinPlusKernel,
-        ad: &[f64],
-        bd: &[f64],
-        cd: &mut [f64],
-        _cp: &mut [()],
-        n: usize,
-        _o: Offsets,
-    ) {
-        kernels::maxmin_slices_with(kernel, ad, bd, cd, n);
-    }
-
-    fn product_assign(
-        kernel: MinPlusKernel,
-        cd: &mut [f64],
-        _cp: &mut [()],
-        other: &[f64],
-        n: usize,
-        _o: Offsets,
-    ) {
-        kernels::with_scratch(n * n, |scratch| {
-            scratch.fill(0.0);
-            kernels::maxmin_slices_with(kernel, cd, other, scratch, n);
-            for (d, &s) in cd.iter_mut().zip(scratch.iter()) {
-                *d = kernels::bmax(s, *d);
-            }
-        });
-    }
-
-    fn product_left_assign(
-        kernel: MinPlusKernel,
-        cd: &mut [f64],
-        _cp: &mut [()],
-        other: &[f64],
-        n: usize,
-        _o: Offsets,
-    ) {
-        kernels::with_scratch(n * n, |scratch| {
-            scratch.fill(0.0);
-            kernels::maxmin_slices_with(kernel, other, cd, scratch, n);
-            for (d, &s) in cd.iter_mut().zip(scratch.iter()) {
-                *d = kernels::bmax(s, *d);
-            }
-        });
-    }
-
-    fn closure_in_place(cd: &mut [f64], _cp: &mut [()], n: usize, _diag_offset: usize) {
-        kernels::maxmin_fw_in_place_slices(cd, n);
-    }
-
-    fn rank1_update(
-        cd: &mut [f64],
-        _cp: &mut [()],
-        col_i: &[f64],
-        col_j: &[f64],
-        n: usize,
-        _k_global: usize,
-    ) {
-        kernels::maxmin_rank1_slices(cd, col_i, col_j, n);
-    }
-
-    fn join(cd: &mut [f64], _cp: &mut [()], od: &[f64], _op: &[()]) {
-        for (d, &o) in cd.iter_mut().zip(od) {
-            *d = kernels::bmax(o, *d);
-        }
-    }
-}
+f64_engine_algebra!(Widest, BottleneckF64, "bottleneck");
 
 /// Boolean transitive closure *(∨, ∧)* — reachability (Katz et al.
 /// \[10\]).
@@ -530,9 +448,9 @@ impl PathAlgebra for Widest {
 /// (see [`crate::BitBlock`]), so the `(∨, ∧)` product becomes a word-wide
 /// `|` of `b`-rows selected by `a`'s set bits — 64 column relaxations per
 /// instruction, with sparse rows costing only their popcount. There is no
-/// size crossover ([`kernels::select_boolean`]): the bitset tier wins at
-/// every side. Pin [`MinPlusKernel::Naive`] to run the element-at-a-time
-/// oracle loop instead.
+/// size crossover: the bitset tier wins at every side. Pin
+/// [`MinPlusKernel::Naive`] to run the element-at-a-time oracle loop
+/// instead.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Reachability;
 
@@ -994,9 +912,7 @@ mod tests {
             MinPlusKernel::Auto,
             MinPlusKernel::Naive,
             MinPlusKernel::Branchless,
-            MinPlusKernel::Tiled,
             MinPlusKernel::Packed,
-            MinPlusKernel::Parallel,
         ] {
             let mut t = TrackedBlock::from_dist(a.clone());
             t.min_plus_assign(kernel, &b, O0);

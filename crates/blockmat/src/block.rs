@@ -31,7 +31,7 @@ pub struct ElemBlock<S: Semiring> {
 }
 
 /// The tropical `f64` block — the type the paper's solvers run on. All
-/// fast-path kernels (packed/branchless/parallel min-plus, in-block
+/// fast-path kernels (packed/branchless min-plus, in-block
 /// Floyd-Warshall, the rank-1 update) are inherent methods of this alias.
 pub type Block = ElemBlock<TropicalF64>;
 
@@ -250,7 +250,7 @@ impl<S: Semiring> ElemBlock<S> {
 }
 
 /// The `f64` tropical fast path: every method below dispatches into the
-/// packed/branchless/parallel kernel engine in [`crate::kernels`].
+/// packed/branchless kernel engine in [`crate::kernels`].
 impl Block {
     /// Creates a block of all-[`INF`] entries (the tropical zero matrix).
     pub fn infinity(b: usize) -> Self {
@@ -296,9 +296,7 @@ impl Block {
     /// Element-wise minimum with `other`, in place (the paper's `MatMin`).
     pub fn mat_min_assign(&mut self, other: &Block) {
         assert_eq!(self.b, other.b, "block sides must match");
-        for (d, &o) in self.data.iter_mut().zip(other.data.iter()) {
-            *d = kernels::tmin(o, *d);
-        }
+        kernels::join_slices::<TropicalF64>(&mut self.data, other.data());
     }
 
     /// `self = min(self, self ⊗ other)` — the paper's `MinPlus` function.
@@ -314,13 +312,7 @@ impl Block {
     pub fn min_plus_assign_with(&mut self, kernel: kernels::MinPlusKernel, other: &Block) {
         assert_eq!(self.b, other.b, "block sides must match");
         let n = self.b;
-        kernels::with_scratch(n * n, |scratch| {
-            scratch.fill(INF);
-            kernels::min_plus_slices_with(kernel, &self.data, other.data(), scratch, n);
-            for (d, &s) in self.data.iter_mut().zip(scratch.iter()) {
-                *d = kernels::tmin(s, *d);
-            }
-        });
+        kernels::product_assign_slices::<TropicalF64>(kernel, &mut self.data, other.data(), n);
     }
 
     /// `self = min(self, other ⊗ self)` — the left-operand mirror of
@@ -334,13 +326,7 @@ impl Block {
     pub fn min_plus_left_assign_with(&mut self, kernel: kernels::MinPlusKernel, other: &Block) {
         assert_eq!(self.b, other.b, "block sides must match");
         let n = self.b;
-        kernels::with_scratch(n * n, |scratch| {
-            scratch.fill(INF);
-            kernels::min_plus_slices_with(kernel, other.data(), &self.data, scratch, n);
-            for (d, &s) in self.data.iter_mut().zip(scratch.iter()) {
-                *d = kernels::tmin(s, *d);
-            }
-        });
+        kernels::product_left_assign_slices::<TropicalF64>(kernel, &mut self.data, other.data(), n);
     }
 
     /// Runs Floyd-Warshall to a fixpoint *within* the block, treating it as
@@ -630,9 +616,7 @@ mod tests {
         for k in [
             MinPlusKernel::Naive,
             MinPlusKernel::Branchless,
-            MinPlusKernel::Tiled,
             MinPlusKernel::Packed,
-            MinPlusKernel::Parallel,
         ] {
             let mut c = a.clone();
             c.min_plus_assign_with(k, &o);

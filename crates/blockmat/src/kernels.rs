@@ -1,33 +1,49 @@
 //! Low-level compute kernels: the bare-metal analogue of the paper's
 //! NumPy / SciPy / Numba offloads, rebuilt as a small GEMM-style engine.
 //!
-//! Five implementations of the min-plus product are provided, selected
-//! through [`MinPlusKernel`] / [`select`]:
+//! There is **one** `f64` engine, generic over the element [`Semiring`]
+//! (`S: Semiring<Elem = f64>`) and monomorphised for the two `f64` path
+//! algebras — tropical *(min, +)* ([`TropicalF64`]: shortest paths) and
+//! bottleneck *(max, min)* ([`crate::BottleneckF64`]: widest paths; Shinn &
+//! Takaoka pose both as the same blocked algorithm over two semirings).
+//! Three implementations of the fold-product `c = c ⊕ (a ⊗ b)` are
+//! selected through [`MinPlusKernel`] / [`select`]:
 //!
-//! * [`min_plus_into_naive`] — textbook `i,k,j` loop; the correctness oracle,
-//! * [`min_plus_into_branchless`] — same loop with a branchless
-//!   `f64::min` inner body (maps to `vminpd`); the small-block fast path,
-//! * [`min_plus_into_tiled`] — the legacy cache-tiled branchy kernel, kept
-//!   as the pre-engine ablation baseline,
-//! * [`min_plus_into_packed`] — register-blocked micro-kernel over a packed
-//!   B-panel (the default for mid/large blocks),
-//! * [`min_plus_into_parallel`] — rayon-parallel row bands, each running
-//!   the packed micro-kernel.
+//! * `Naive` — textbook `i,k,j` loop with a conditional store; the
+//!   correctness oracle,
+//! * `Branchless` — same loop with an unconditional select-form `⊕` in
+//!   the inner body (maps to `vminpd` / `vmaxpd`); the small-block fast
+//!   path,
+//! * `Packed` — register-blocked micro-kernel over a packed B-panel (the
+//!   default from side 128 up).
 //!
-//! # Why branchless `min` is safe here
+//! Every kernel is sequential: one block operation runs on one core, as
+//! the paper's per-block `MatProd` / `FloydWarshall` offloads do, and the
+//! executor (`sparklet` tasks) owns the cores.
 //!
-//! The tropical semiring over `[0, ∞]` never produces NaN: weights are
-//! non-negative, `INF + x = INF`, and `-∞` cannot appear, so `a + b` is
-//! always ordered and `f64::min` is exact. Replacing the branchy
+//! # Why the branchless `⊕` is safe here
+//!
+//! Neither algebra ever produces NaN: weights and capacities live in
+//! `[0, ∞]`, `INF + x = INF`, and `-∞` cannot appear, so `a ⊗ b` is always
+//! ordered and the select-form `⊕` is exact. Replacing the branchy
 //! `if v < *cv { *cv = v }` (a conditional *store*, which blocks LLVM's
-//! auto-vectorizer) with `cv.min(v)` (an unconditional store of a `min`)
-//! lets the inner loops compile to packed `vminpd`/`vaddpd`. The kernels
-//! are bit-exact against the naive oracle because `min` over a set of
-//! non-NaN, non-`-0.0` values is order-independent.
+//! auto-vectorizer) with an unconditional store of `S::add(v, *cv)` lets
+//! the inner loops compile to packed `vminpd`/`vaddpd` (tropical) or
+//! `vmaxpd`/`vminpd` (bottleneck). The kernels are bit-exact against the
+//! naive oracle because `min`/`max` over a set of non-NaN, non-`-0.0`
+//! values is order-independent.
 //!
-//! All product kernels *fold into* `c`: `c = min(c, a ⊗ b)`, matching the
+//! The semirings write `⊕` in select form (`if a < b { a } else { b }`)
+//! rather than `f64::min` deliberately: `f64::min` is IEEE `minNum`, whose
+//! NaN handling costs LLVM a compare+blend on top of `vminpd`, while the
+//! select is *exactly* the x86 `minpd(b, a)` semantics and compiles to the
+//! single instruction. Every tier calls `S::add(candidate, current)` in
+//! that operand order, so all of them resolve ties the same way.
+//!
+//! All product kernels *fold into* `c`: `c = c ⊕ (a ⊗ b)`, matching the
 //! `MatProd`-then-`MatMin` composition the paper's algorithms rely on.
-//! Passing an all-[`INF`] `c` yields the pure product.
+//! Passing an all-`0̄` `c` (all-[`INF`] for tropical) yields the pure
+//! product.
 //!
 //! # Zero-allocation hot paths
 //!
@@ -37,14 +53,15 @@
 //! fold entry points on [`Block`] (`min_plus_into_self`,
 //! `min_plus_assign`, `min_plus_left_assign`).
 
-use crate::block::BitBlock;
+use crate::block::{BitBlock, ElemBlock};
 use crate::parent::{Offsets, ParentBlock, NO_VIA};
+use crate::semiring::{Semiring, TropicalF64};
 use crate::{Block, INF};
-use rayon::prelude::*;
 use std::cell::RefCell;
 
-/// Tile side for the cache-blocked kernels. 64×64 f64 tiles (32 KiB) fit L1
-/// on the paper's Skylake nodes and on most contemporary x86-64 cores.
+/// Depth of the `k`-band the packed kernel packs at a time. A 64-deep band
+/// of `NR`-wide panels stays L1-resident on the paper's Skylake nodes and
+/// on most contemporary x86-64 cores.
 pub const TILE: usize = 64;
 
 /// Register-block rows of the packed micro-kernel.
@@ -58,136 +75,36 @@ const NR: usize = 8;
 /// branchless and packed tie at side 128, branchless leads below).
 const SMALL_SIDE: usize = 128;
 
-/// Block side at or above which the auto-dispatch goes parallel (the
-/// paper's per-executor multicore BLAS regime, `b ≈ 1024–2048`).
-const PARALLEL_SIDE: usize = 1024;
-
-/// Branchless tropical minimum — an alias of [`crate::tropical_add`],
-/// named for what it does to the inner loops.
-///
-/// The select form (`if a < b { a } else { b }`) is used rather than
-/// `f64::min` deliberately: `f64::min` is IEEE `minNum`, whose NaN
-/// handling costs LLVM a compare+blend on top of `vminpd`, while the
-/// select is *exactly* the x86 `minpd(b, a)` semantics and compiles to
-/// the single instruction — correct here because tropical arithmetic over
-/// `[0, ∞]` never produces NaN (`INF + x = INF`, and `-∞` cannot appear).
-#[inline(always)]
-pub(crate) fn tmin(a: f64, b: f64) -> f64 {
-    crate::tropical_add(a, b)
-}
-
-/// Branchless bottleneck "addition" (`max`) — the select form compiles to
-/// a single `vmaxpd`, exactly as [`tmin`] compiles to `vminpd`. Safe for
-/// the same reason: capacities live in `[0, ∞]` and neither `min` nor
-/// `max` of such values can produce NaN.
-#[inline(always)]
-pub(crate) fn bmax(a: f64, b: f64) -> f64 {
-    if a < b {
-        b
-    } else {
-        a
-    }
-}
-
-/// Branchless bottleneck "multiplication" (`min`) — the capacity of a
-/// concatenated route is its thinnest pipe.
-#[inline(always)]
-pub(crate) fn bmin(a: f64, b: f64) -> f64 {
-    if a < b {
-        a
-    } else {
-        b
-    }
-}
-
-/// Which min-plus product implementation to run.
+/// Which fold-product implementation to run.
 ///
 /// `Auto` resolves by block side via [`select`]; the explicit variants are
-/// for benchmarks, ablations, and `SolverConfig` overrides.
+/// for benchmarks, ablations, and `SolverConfig` overrides. The tracked
+/// (argmin-recording) algebras have a single row-streaming loop and the
+/// boolean algebra a single bitset kernel, so there only `Naive` (the
+/// oracle loop, boolean) is told apart from the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MinPlusKernel {
-    /// Choose by block side: branchless below 128, packed up to 1024,
-    /// parallel beyond.
+    /// Choose by block side: branchless below 128, packed from 128.
     #[default]
     Auto,
     /// Textbook `i,k,j` triple loop (the correctness oracle).
     Naive,
-    /// Branchless `i,k,j` loop (`f64::min` inner body).
+    /// Branchless `i,k,j` loop (select-form `⊕` inner body).
     Branchless,
-    /// Legacy cache-tiled branchy kernel (pre-engine baseline).
-    Tiled,
     /// Register-blocked micro-kernel over packed B-panels.
     Packed,
-    /// Rayon-parallel row bands over the packed micro-kernel.
-    Parallel,
 }
 
-/// Resolves the kernel the auto-dispatch runs for a given block side.
+/// Resolves the kernel the auto-dispatch runs for a given block side —
+/// the one selector of the `f64` engine, shared by both algebras
+/// (`vmaxpd`/`vminpd` are instruction-for-instruction symmetric to
+/// `vminpd`/`vaddpd`, so the crossover is the same).
 pub fn select(side: usize) -> MinPlusKernel {
     if side < SMALL_SIDE {
         MinPlusKernel::Branchless
-    } else if side < PARALLEL_SIDE {
-        MinPlusKernel::Packed
     } else {
-        MinPlusKernel::Parallel
-    }
-}
-
-/// Resolves the kernel tier the *tracked* (argmin-recording) dispatch
-/// runs for a given block side.
-///
-/// Tracking an argmin forces a conditional store per improvement, which
-/// defeats the packed micro-kernel's register accumulation (packing `u32`
-/// argmins alongside the `f64` accumulators costs more than it saves), so
-/// the tracked engine has no packed/parallel sibling and falls back to
-/// simpler loops. Between those, `bench_kernels` measures the plain
-/// row-streaming loop ahead of the cache-tiled one at every side ≥ 128
-/// (the branchy argmin update, not memory traffic, is the bottleneck) and
-/// within ~10% below it, so the auto-dispatch always picks the
-/// row-streaming loop; the tiled tracked loop remains reachable as an
-/// explicit ablation choice.
-pub fn select_tracked(_side: usize) -> MinPlusKernel {
-    MinPlusKernel::Branchless
-}
-
-/// Resolves the kernel tier the *(max, min)* bottleneck dispatch runs for
-/// a given block side.
-///
-/// `vmaxpd`/`vminpd` are instruction-for-instruction symmetric to the
-/// tropical `vminpd`/`vaddpd` pair, so the crossovers match [`select`]:
-/// branchless below 128, the packed register-blocked micro-kernel up to
-/// 1024, rayon-parallel row bands beyond. (There is no tiled *(max, min)*
-/// twin — the legacy tiled kernel predates the engine and was never worth
-/// porting; an explicit `Tiled` pin runs the branchless loop.)
-pub fn select_maxmin(side: usize) -> MinPlusKernel {
-    if side < SMALL_SIDE {
-        MinPlusKernel::Branchless
-    } else if side < PARALLEL_SIDE {
         MinPlusKernel::Packed
-    } else {
-        MinPlusKernel::Parallel
     }
-}
-
-/// Which boolean (reachability) product implementation to run.
-///
-/// Unlike the `f64` algebras there is no size crossover to arbitrate: the
-/// bitset kernel packs 64 reachability bits per `u64` word, so the `(∨, ∧)`
-/// product is a word-wide `|`/`&` that beats the element loop at *every*
-/// side. The fallback loop remains reachable as the correctness oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BooleanKernel {
-    /// Generic element-at-a-time fallback loop (the correctness oracle).
-    Fallback,
-    /// Word-packed bitset kernel: 64 booleans per `u64`, `|`/`&` products.
-    #[default]
-    Bitset,
-}
-
-/// Resolves the kernel the boolean (reachability) auto-dispatch runs for a
-/// given block side: the bitset kernel, at every side.
-pub fn select_boolean(_side: usize) -> BooleanKernel {
-    BooleanKernel::Bitset
 }
 
 // ---------------------------------------------------------------------------
@@ -197,7 +114,7 @@ pub fn select_boolean(_side: usize) -> BooleanKernel {
 thread_local! {
     /// Product scratch for the `Block` fold entry points.
     static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-    /// Packed B-panel storage for the packed/parallel kernels.
+    /// Packed B-panel storage for the packed kernel.
     static PACK: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
     /// Pivot-row copy for in-place Floyd-Warshall.
     static KROW: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
@@ -246,7 +163,7 @@ pub fn with_via_scratch<R>(len: usize, f: impl FnOnce(&mut [u32]) -> R) -> R {
 }
 
 // ---------------------------------------------------------------------------
-// Public Block-level entry points
+// Public block-level entry points
 // ---------------------------------------------------------------------------
 
 /// `c = min(c, a ⊗ b)` with the kernel chosen by [`select`].
@@ -254,61 +171,29 @@ pub fn min_plus_into(a: &Block, b: &Block, c: &mut Block) {
     min_plus_into_with(MinPlusKernel::Auto, a, b, c);
 }
 
-/// `c = min(c, a ⊗ b)` with an explicit kernel choice.
-pub fn min_plus_into_with(kernel: MinPlusKernel, a: &Block, b: &Block, c: &mut Block) {
+/// `c = c ⊕ (a ⊗ b)` with an explicit kernel choice, over either `f64`
+/// algebra: `min(c, a + b)` on [`Block`]s, `max(c, min(a, b))` on
+/// `ElemBlock<BottleneckF64>` capacity blocks.
+pub fn min_plus_into_with<S: Semiring<Elem = f64>>(
+    kernel: MinPlusKernel,
+    a: &ElemBlock<S>,
+    b: &ElemBlock<S>,
+    c: &mut ElemBlock<S>,
+) {
     let n = a.side();
     assert_eq!(n, b.side());
     assert_eq!(n, c.side());
-    min_plus_slices_with(kernel, a.data(), b.data(), c.data_mut(), n);
-}
-
-/// Reference `c = min(c, a ⊗ b)`, naive triple loop (`i,k,j` order so the
-/// inner loop streams rows of `b` and `c`).
-pub fn min_plus_into_naive(a: &Block, b: &Block, c: &mut Block) {
-    min_plus_into_with(MinPlusKernel::Naive, a, b, c);
-}
-
-/// Branchless `c = min(c, a ⊗ b)`: naive loop order, `f64::min` body.
-pub fn min_plus_into_branchless(a: &Block, b: &Block, c: &mut Block) {
-    min_plus_into_with(MinPlusKernel::Branchless, a, b, c);
-}
-
-/// Legacy cache-tiled `c = min(c, a ⊗ b)` (branchy inner loop).
-///
-/// Tiles the `k` and `j` loops by [`TILE`] so the working set of the inner
-/// kernel stays cache-resident. Kept as the ablation baseline the packed
-/// engine is measured against (`cargo bench --bench fig2_kernels`).
-pub fn min_plus_into_tiled(a: &Block, b: &Block, c: &mut Block) {
-    min_plus_into_with(MinPlusKernel::Tiled, a, b, c);
-}
-
-/// Register-blocked `c = min(c, a ⊗ b)` over packed B-panels.
-///
-/// For each `TILE`-row band of `b`, the band is packed once into
-/// `NR`-wide column panels (contiguous per `k`), then `MR × NR`
-/// register-resident accumulator blocks sweep the `k` range before folding
-/// into `c` — the GEMM treatment applied to *(min, +)*. Rows of `a` whose
-/// `k`-segment is entirely [`INF`] skip their micro-kernels (the sparsity
-/// fast path that keeps early sparse iterations cheap).
-pub fn min_plus_into_packed(a: &Block, b: &Block, c: &mut Block) {
-    min_plus_into_with(MinPlusKernel::Packed, a, b, c);
-}
-
-/// Rayon-parallel `c = min(c, a ⊗ b)`: rows of `c` are partitioned into
-/// bands processed independently (no write sharing, so no synchronization),
-/// each running the packed micro-kernel.
-pub fn min_plus_into_parallel(a: &Block, b: &Block, c: &mut Block) {
-    min_plus_into_with(MinPlusKernel::Parallel, a, b, c);
+    fold_slices_with::<S>(kernel, a.data(), b.data(), c.data_mut(), n);
 }
 
 // ---------------------------------------------------------------------------
 // Slice-level implementations
 // ---------------------------------------------------------------------------
 
-/// Slice-level dispatch: `cd = min(cd, ad ⊗ bd)` over `n × n` row-major
-/// buffers. Used by the `Block` fold entry points to run against scratch
-/// buffers without constructing a `Block`.
-pub(crate) fn min_plus_slices_with(
+/// Slice-level dispatch: `cd = cd ⊕ (ad ⊗ bd)` over `n × n` row-major
+/// buffers. Used by the fold entry points to run against scratch buffers
+/// without constructing a block.
+pub(crate) fn fold_slices_with<S: Semiring<Elem = f64>>(
     kernel: MinPlusKernel,
     ad: &[f64],
     bd: &[f64],
@@ -321,27 +206,67 @@ pub(crate) fn min_plus_slices_with(
         kernel
     };
     match kernel {
-        MinPlusKernel::Naive => naive_rows(ad, bd, cd, n),
-        MinPlusKernel::Branchless => branchless_rows(ad, bd, cd, n),
-        MinPlusKernel::Tiled => tiled_rows(ad, bd, cd, n, 0, n),
-        MinPlusKernel::Packed => packed_rows(ad, bd, cd, n, 0, n),
-        MinPlusKernel::Parallel => parallel_rows(ad, bd, cd, n),
+        MinPlusKernel::Naive => naive_rows::<S>(ad, bd, cd, n),
+        MinPlusKernel::Branchless => branchless_rows::<S>(ad, bd, cd, n),
+        MinPlusKernel::Packed => packed_rows::<S>(ad, bd, cd, n),
         MinPlusKernel::Auto => unreachable!("Auto resolved above"),
     }
 }
 
-fn naive_rows(ad: &[f64], bd: &[f64], cd: &mut [f64], n: usize) {
+/// `cd = cd ⊕ (cd ⊗ other)` — the pivot-column update. `cd` is both an
+/// operand and the fold target, so the product is built in the reused
+/// thread-local scratch buffer (no allocation in steady state) and then
+/// joined in.
+pub(crate) fn product_assign_slices<S: Semiring<Elem = f64>>(
+    kernel: MinPlusKernel,
+    cd: &mut [f64],
+    other: &[f64],
+    n: usize,
+) {
+    with_scratch(n * n, |scratch| {
+        scratch.fill(S::zero());
+        fold_slices_with::<S>(kernel, cd, other, scratch, n);
+        join_slices::<S>(cd, scratch);
+    });
+}
+
+/// `cd = cd ⊕ (other ⊗ cd)` — the pivot-row mirror of
+/// [`product_assign_slices`].
+pub(crate) fn product_left_assign_slices<S: Semiring<Elem = f64>>(
+    kernel: MinPlusKernel,
+    cd: &mut [f64],
+    other: &[f64],
+    n: usize,
+) {
+    with_scratch(n * n, |scratch| {
+        scratch.fill(S::zero());
+        fold_slices_with::<S>(kernel, other, cd, scratch, n);
+        join_slices::<S>(cd, scratch);
+    });
+}
+
+/// Element-wise join `cd = cd ⊕ od` (the paper's `MatMin`).
+pub(crate) fn join_slices<S: Semiring<Elem = f64>>(cd: &mut [f64], od: &[f64]) {
+    for (d, &o) in cd.iter_mut().zip(od) {
+        *d = S::add(o, *d);
+    }
+}
+
+/// Reference branchy loop (`i,k,j` order so the inner loop streams rows of
+/// `b` and `c`) — the same comparison, term for term, as the generic
+/// fallback loop a hook-free `PathAlgebra` over `S` runs.
+fn naive_rows<S: Semiring<Elem = f64>>(ad: &[f64], bd: &[f64], cd: &mut [f64], n: usize) {
     for i in 0..n {
         for k in 0..n {
             let aik = ad[i * n + k];
-            if aik == INF {
+            if aik == S::zero() {
                 continue;
             }
             let brow = &bd[k * n..k * n + n];
             let crow = &mut cd[i * n..i * n + n];
             for j in 0..n {
-                let v = aik + brow[j];
-                if v < crow[j] {
+                let v = S::mul(aik, brow[j]);
+                if S::add(v, crow[j]) != crow[j] {
                     crow[j] = v;
                 }
             }
@@ -349,74 +274,57 @@ fn naive_rows(ad: &[f64], bd: &[f64], cd: &mut [f64], n: usize) {
     }
 }
 
-fn branchless_rows(ad: &[f64], bd: &[f64], cd: &mut [f64], n: usize) {
+fn branchless_rows<S: Semiring<Elem = f64>>(ad: &[f64], bd: &[f64], cd: &mut [f64], n: usize) {
     for i in 0..n {
         for k in 0..n {
             let aik = ad[i * n + k];
-            if aik == INF {
+            if aik == S::zero() {
                 continue;
             }
             let brow = &bd[k * n..k * n + n];
             let crow = &mut cd[i * n..i * n + n];
             for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv = tmin(aik + bv, *cv);
+                *cv = S::add(S::mul(aik, bv), *cv);
             }
         }
     }
 }
 
-/// Legacy tiled kernel over absolute row range `[i_lo, i_hi)` of `c`.
-fn tiled_rows(ad: &[f64], bd: &[f64], cd: &mut [f64], n: usize, i_lo: usize, i_hi: usize) {
-    for kk in (0..n).step_by(TILE) {
-        let k_hi = (kk + TILE).min(n);
-        for jj in (0..n).step_by(TILE) {
-            let j_hi = (jj + TILE).min(n);
-            for i in i_lo..i_hi {
-                let arow = &ad[i * n..i * n + n];
-                let crow = &mut cd[i * n + jj..i * n + j_hi];
-                for k in kk..k_hi {
-                    let aik = arow[k];
-                    if aik == INF {
-                        continue;
-                    }
-                    let brow = &bd[k * n + jj..k * n + j_hi];
-                    for (cv, &bv) in crow.iter_mut().zip(brow) {
-                        let v = aik + bv;
-                        if v < *cv {
-                            *cv = v;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The packed register-blocked kernel over rows `[i_lo, i_hi)`. `crows`
-/// starts at absolute row `i_lo` (re-based, so parallel bands can pass
-/// their disjoint chunks).
-fn packed_rows(ad: &[f64], bd: &[f64], crows: &mut [f64], n: usize, i_lo: usize, i_hi: usize) {
+/// The packed register-blocked kernel.
+///
+/// For each [`TILE`]-deep `k`-band of `b`, the band is packed once into
+/// `NR`-wide column panels (contiguous per `k`), then `MR × NR`
+/// register-resident accumulator blocks sweep the `k` range before folding
+/// into `c` — the GEMM treatment applied to a path semiring. Rows of `a`
+/// whose `k`-segment is entirely `0̄` skip their micro-kernels (the
+/// sparsity fast path that keeps early sparse iterations cheap).
+fn packed_rows<S: Semiring<Elem = f64>>(ad: &[f64], bd: &[f64], cd: &mut [f64], n: usize) {
     let panels = n.div_ceil(NR);
     with_pool(&PACK, panels * TILE * NR, |bp| {
         for kk in (0..n).step_by(TILE) {
             let k_len = (n - kk).min(TILE);
-            pack_panels(bd, bp, n, kk, k_len, panels, INF);
-            let mut i = i_lo;
-            while i < i_hi {
-                let m = (i_hi - i).min(MR);
-                // Sparsity fast path: if every `a` row of this block is
-                // all-INF over the k-range, no micro-kernel can tighten c.
-                let any_finite = (0..m).any(|r| {
+            pack_panels(bd, bp, n, kk, k_len, panels, S::zero());
+            let mut i = 0;
+            while i < n {
+                let m = (n - i).min(MR);
+                // Sparsity fast path: `0̄` annihilates `⊗`, so if every `a`
+                // row of this block is all-`0̄` over the k-range, no
+                // micro-kernel can improve c. (`S::zero()` is written out
+                // at each use, not hoisted into a local: as a constant it
+                // holds no register, and with the 4×8 accumulators already
+                // spilling on SSE2 one more live value costs the tropical
+                // micro-kernel a measured 5–10%.)
+                let any_path = (0..m).any(|r| {
                     ad[(i + r) * n + kk..(i + r) * n + kk + k_len]
                         .iter()
-                        .any(|v| *v != INF)
+                        .any(|v| *v != S::zero())
                 });
-                if any_finite {
+                if any_path {
                     match m {
-                        4 => row_block::<4>(ad, bp, crows, n, i, i_lo, kk, k_len, panels),
-                        3 => row_block::<3>(ad, bp, crows, n, i, i_lo, kk, k_len, panels),
-                        2 => row_block::<2>(ad, bp, crows, n, i, i_lo, kk, k_len, panels),
-                        _ => row_block::<1>(ad, bp, crows, n, i, i_lo, kk, k_len, panels),
+                        4 => row_block::<S, 4>(ad, bp, cd, n, i, kk, k_len, panels),
+                        3 => row_block::<S, 3>(ad, bp, cd, n, i, kk, k_len, panels),
+                        2 => row_block::<S, 2>(ad, bp, cd, n, i, kk, k_len, panels),
+                        _ => row_block::<S, 1>(ad, bp, cd, n, i, kk, k_len, panels),
                     }
                 }
                 i += m;
@@ -455,16 +363,17 @@ fn pack_panels(
 }
 
 /// Runs the `M × NR` micro-kernel for rows `i..i+M` against every packed
-/// panel of the current `k`-band, folding the accumulators into `c`.
+/// panel of the current `k`-band, folding the accumulators into `c`. One
+/// `⊗` and one `⊕` per step: `vaddpd` + `vminpd` for tropical, `vminpd` +
+/// `vmaxpd` for bottleneck.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn row_block<const M: usize>(
+fn row_block<S: Semiring<Elem = f64>, const M: usize>(
     ad: &[f64],
     bp: &[f64],
-    crows: &mut [f64],
+    cd: &mut [f64],
     n: usize,
     i: usize,
-    i_lo: usize,
     kk: usize,
     k_len: usize,
     panels: usize,
@@ -478,22 +387,22 @@ fn row_block<const M: usize>(
 
         // Accumulate the k-range entirely in registers: M×NR f64 fits the
         // AVX2 register file for M = 4, NR = 8.
-        let mut acc = [[INF; NR]; M];
+        let mut acc = [[S::zero(); NR]; M];
         for k in 0..k_len {
             let bk: &[f64; NR] = panel[k * NR..k * NR + NR].try_into().unwrap();
             for r in 0..M {
                 let aik = arows[r][k];
                 for c in 0..NR {
-                    acc[r][c] = tmin(aik + bk[c], acc[r][c]);
+                    acc[r][c] = S::add(S::mul(aik, bk[c]), acc[r][c]);
                 }
             }
         }
         // Fold into c (only the w real columns of the tail panel).
         for (r, accr) in acc.iter().enumerate() {
-            let row0 = (i - i_lo + r) * n + j0;
-            let crow = &mut crows[row0..row0 + w];
+            let row0 = (i + r) * n + j0;
+            let crow = &mut cd[row0..row0 + w];
             for (cv, &av) in crow.iter_mut().zip(accr[..w].iter()) {
-                *cv = tmin(av, *cv);
+                *cv = S::add(av, *cv);
             }
         }
     }
@@ -514,12 +423,13 @@ fn row_block<const M: usize>(
 /// path expansion cannot terminate on. See the `parent` module docs for
 /// the seeding contract this relies on.
 ///
-/// Explicit [`MinPlusKernel`] choices map onto the tracked tiers:
-/// `Naive`/`Branchless` run the row-streaming loop, everything else the
-/// cache-tiled loop ([`select_tracked`] explains why packed/parallel have
-/// no tracked sibling).
-pub fn min_plus_into_tracked_with(
-    kernel: MinPlusKernel,
+/// There is one tracked loop and no [`MinPlusKernel`] choice: tracking an
+/// argmin forces a conditional store per improvement, which defeats the
+/// packed micro-kernel's register accumulation (packing `u32` argmins
+/// alongside the `f64` accumulators costs more than it saves), and the
+/// branchy argmin update, not memory traffic, is the bottleneck — so the
+/// plain row-streaming loop is the tracked engine at every side.
+pub fn min_plus_into_tracked(
     a: &Block,
     b: &Block,
     c: &mut Block,
@@ -530,8 +440,7 @@ pub fn min_plus_into_tracked_with(
     assert_eq!(n, b.side());
     assert_eq!(n, c.side());
     assert_eq!(n, cvia.side());
-    min_plus_slices_tracked_with(
-        kernel,
+    min_plus_slices_tracked(
         a.data(),
         b.data(),
         c.data_mut(),
@@ -539,29 +448,6 @@ pub fn min_plus_into_tracked_with(
         n,
         offsets,
     );
-}
-
-/// Slice-level tracked dispatch (see [`min_plus_into_tracked_with`]).
-pub(crate) fn min_plus_slices_tracked_with(
-    kernel: MinPlusKernel,
-    ad: &[f64],
-    bd: &[f64],
-    cd: &mut [f64],
-    cv: &mut [u32],
-    n: usize,
-    offsets: Offsets,
-) {
-    let kernel = if kernel == MinPlusKernel::Auto {
-        select_tracked(n)
-    } else {
-        kernel
-    };
-    match kernel {
-        MinPlusKernel::Naive | MinPlusKernel::Branchless => {
-            tracked_rows(ad, bd, cd, cv, n, offsets)
-        }
-        _ => tracked_tiled_rows(ad, bd, cd, cv, n, offsets),
-    }
 }
 
 /// The shared tracked inner loop: relax one contiguous column span of one
@@ -577,9 +463,8 @@ fn relax_span(crow: &mut [f64], vrow: &mut [u32], brow: &[f64], aik: f64, kg: u3
     }
 }
 
-/// Relax columns `[j_lo, j_hi)` of row `i`, skipping the single column
-/// whose global id equals `k_global` (the degenerate `k == j` term).
-#[allow(clippy::too_many_arguments)]
+/// Relax one row of `c`, skipping the single column whose global id
+/// equals `k_global` (the degenerate `k == j` term).
 #[inline(always)]
 fn relax_row_guarded(
     crow: &mut [f64],
@@ -588,34 +473,20 @@ fn relax_row_guarded(
     aik: f64,
     k_global: usize,
     col_offset: usize,
-    j_lo: usize,
-    j_hi: usize,
 ) {
     let kg = k_global as u32;
-    // Local index of the degenerate column, if it falls in this span.
+    // Local index of the degenerate column, if it falls in this block.
     match k_global
         .checked_sub(col_offset)
-        .filter(|&jb| jb >= j_lo && jb < j_hi)
+        .filter(|&jb| jb < crow.len())
     {
-        None => relax_span(
-            &mut crow[j_lo..j_hi],
-            &mut vrow[j_lo..j_hi],
-            &brow[j_lo..j_hi],
-            aik,
-            kg,
-        ),
+        None => relax_span(crow, vrow, brow, aik, kg),
         Some(jb) => {
+            relax_span(&mut crow[..jb], &mut vrow[..jb], &brow[..jb], aik, kg);
             relax_span(
-                &mut crow[j_lo..jb],
-                &mut vrow[j_lo..jb],
-                &brow[j_lo..jb],
-                aik,
-                kg,
-            );
-            relax_span(
-                &mut crow[jb + 1..j_hi],
-                &mut vrow[jb + 1..j_hi],
-                &brow[jb + 1..j_hi],
+                &mut crow[jb + 1..],
+                &mut vrow[jb + 1..],
+                &brow[jb + 1..],
                 aik,
                 kg,
             );
@@ -623,7 +494,16 @@ fn relax_row_guarded(
     }
 }
 
-fn tracked_rows(ad: &[f64], bd: &[f64], cd: &mut [f64], cv: &mut [u32], n: usize, o: Offsets) {
+/// Slice-level [`min_plus_into_tracked`] — the entry point the tracked
+/// path-algebra dispatch uses.
+pub(crate) fn min_plus_slices_tracked(
+    ad: &[f64],
+    bd: &[f64],
+    cd: &mut [f64],
+    cv: &mut [u32],
+    n: usize,
+    o: Offsets,
+) {
     for i in 0..n {
         let i_global = o.row + i;
         for k in 0..n {
@@ -638,41 +518,7 @@ fn tracked_rows(ad: &[f64], bd: &[f64], cd: &mut [f64], cv: &mut [u32], n: usize
             let brow = &bd[k * n..k * n + n];
             let crow = &mut cd[i * n..i * n + n];
             let vrow = &mut cv[i * n..i * n + n];
-            relax_row_guarded(crow, vrow, brow, aik, k_global, o.col, 0, n);
-        }
-    }
-}
-
-fn tracked_tiled_rows(
-    ad: &[f64],
-    bd: &[f64],
-    cd: &mut [f64],
-    cv: &mut [u32],
-    n: usize,
-    o: Offsets,
-) {
-    for kk in (0..n).step_by(TILE) {
-        let k_hi = (kk + TILE).min(n);
-        for jj in (0..n).step_by(TILE) {
-            let j_hi = (jj + TILE).min(n);
-            for i in 0..n {
-                let i_global = o.row + i;
-                let arow = &ad[i * n..i * n + n];
-                for k in kk..k_hi {
-                    let k_global = o.k + k;
-                    if k_global == i_global {
-                        continue;
-                    }
-                    let aik = arow[k];
-                    if aik == INF {
-                        continue;
-                    }
-                    let brow = &bd[k * n..k * n + n];
-                    let crow = &mut cd[i * n..i * n + n];
-                    let vrow = &mut cv[i * n..i * n + n];
-                    relax_row_guarded(crow, vrow, brow, aik, k_global, o.col, jj, j_hi);
-                }
-            }
+            relax_row_guarded(crow, vrow, brow, aik, k_global, o.col);
         }
     }
 }
@@ -779,22 +625,6 @@ pub(crate) fn fold_tracked(dist: &mut [f64], via: &mut [u32], sd: &[f64], sv: &[
     }
 }
 
-fn parallel_rows(ad: &[f64], bd: &[f64], cd: &mut [f64], n: usize) {
-    let band = bands_for(n);
-    cd.par_chunks_mut(band * n)
-        .enumerate()
-        .for_each(|(chunk, crows)| {
-            let i0 = chunk * band;
-            let i1 = i0 + crows.len() / n;
-            packed_rows(ad, bd, crows, n, i0, i1);
-        });
-}
-
-fn bands_for(n: usize) -> usize {
-    let threads = rayon::current_num_threads().max(1);
-    n.div_ceil(threads * 4).max(1)
-}
-
 // ---------------------------------------------------------------------------
 // Floyd-Warshall kernels
 // ---------------------------------------------------------------------------
@@ -808,47 +638,27 @@ fn bands_for(n: usize) -> usize {
 /// branchless inner loop vectorize.
 pub fn floyd_warshall_in_place(block: &mut Block) {
     let n = block.side();
-    fw_in_place_slices(block.data_mut(), n);
+    fw_in_place_slices::<TropicalF64>(block.data_mut(), n);
 }
 
-/// Slice-level [`floyd_warshall_in_place`] over an `n × n` row-major
-/// buffer — the entry point the path-algebra dispatch uses.
-pub(crate) fn fw_in_place_slices(d: &mut [f64], n: usize) {
+/// Slice-level in-place closure over an `n × n` row-major buffer:
+/// `d[i][j] = d[i][j] ⊕ (d[i][k] ⊗ d[k][j])` for every pivot `k` —
+/// [`floyd_warshall_in_place`] for tropical, the widest-path closure for
+/// bottleneck. The entry point the path-algebra dispatch uses.
+pub(crate) fn fw_in_place_slices<S: Semiring<Elem = f64>>(d: &mut [f64], n: usize) {
     with_pool(&KROW, n, |krow| {
         for k in 0..n {
             krow.copy_from_slice(&d[k * n..k * n + n]);
             for i in 0..n {
                 let dik = d[i * n + k];
-                if dik == INF {
+                if dik == S::zero() {
                     continue;
                 }
                 let row = &mut d[i * n..i * n + n];
                 for (rv, &kv) in row.iter_mut().zip(krow.iter()) {
-                    *rv = tmin(dik + kv, *rv);
+                    *rv = S::add(S::mul(dik, kv), *rv);
                 }
             }
-        }
-    });
-}
-
-/// Rayon-parallel in-place Floyd-Warshall (rows parallel within each `k`),
-/// sharing the same reused pivot-row scratch as the sequential variant.
-pub fn floyd_warshall_in_place_parallel(block: &mut Block) {
-    let n = block.side();
-    let d = block.data_mut();
-    with_pool(&KROW, n, |krow| {
-        for k in 0..n {
-            krow.copy_from_slice(&d[k * n..k * n + n]);
-            let krow = &*krow;
-            d.par_chunks_mut(n).for_each(|row| {
-                let dik = row[k];
-                if dik == INF {
-                    return;
-                }
-                for (rv, &kv) in row.iter_mut().zip(krow.iter()) {
-                    *rv = tmin(dik + kv, *rv);
-                }
-            });
         }
     });
 }
@@ -857,240 +667,26 @@ pub fn floyd_warshall_in_place_parallel(block: &mut Block) {
 /// col_i[i] + col_j[j])` — a rank-1 min-plus product folded in place.
 pub fn fw_update_outer(block: &mut Block, col_i: &[f64], col_j: &[f64]) {
     let n = block.side();
-    fw_update_outer_slices(block.data_mut(), col_i, col_j, n);
+    rank1_slices::<TropicalF64>(block.data_mut(), col_i, col_j, n);
 }
 
-/// Slice-level [`fw_update_outer`] — the entry point the path-algebra
-/// dispatch uses.
-pub(crate) fn fw_update_outer_slices(d: &mut [f64], col_i: &[f64], col_j: &[f64], n: usize) {
+/// Slice-level rank-1 update `d[i][j] = d[i][j] ⊕ (col_i[i] ⊗ col_j[j])`
+/// — the entry point the path-algebra dispatch uses.
+pub(crate) fn rank1_slices<S: Semiring<Elem = f64>>(
+    d: &mut [f64],
+    col_i: &[f64],
+    col_j: &[f64],
+    n: usize,
+) {
     assert_eq!(col_i.len(), n, "col_i length must equal block side");
     assert_eq!(col_j.len(), n, "col_j length must equal block side");
     for (i, &ci) in col_i.iter().enumerate() {
-        if ci == INF {
+        if ci == S::zero() {
             continue;
         }
         let row = &mut d[i * n..i * n + n];
         for (rv, &cj) in row.iter_mut().zip(col_j) {
-            *rv = tmin(ci + cj, *rv);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// (max, min) bottleneck kernels
-// ---------------------------------------------------------------------------
-
-/// `c = max(c, a ⊗ b)` over the bottleneck *(max, min)* algebra, with an
-/// explicit kernel choice (`Auto` resolves via [`select_maxmin`]).
-///
-/// The engine mirrors the tropical family member for member — branchless
-/// rows, the packed 4×8 register-blocked micro-kernel over `NR`-wide
-/// B-panels, and rayon-parallel row bands — with the roles of the
-/// identities swapped: `0.0` (no pipe) is the additive identity/annihilator
-/// that pads panels and drives the sparsity skip, where the tropical engine
-/// uses [`INF`].
-pub fn maxmin_into_with(
-    kernel: MinPlusKernel,
-    a: &crate::block::ElemBlock<crate::semiring::BottleneckF64>,
-    b: &crate::block::ElemBlock<crate::semiring::BottleneckF64>,
-    c: &mut crate::block::ElemBlock<crate::semiring::BottleneckF64>,
-) {
-    let n = a.side();
-    assert_eq!(n, b.side());
-    assert_eq!(n, c.side());
-    maxmin_slices_with(kernel, a.data(), b.data(), c.data_mut(), n);
-}
-
-/// Slice-level *(max, min)* dispatch: `cd = max(cd, ad ⊗ bd)` over `n × n`
-/// row-major capacity buffers (the entry point the [`crate::algebra::Widest`]
-/// hooks use).
-pub(crate) fn maxmin_slices_with(
-    kernel: MinPlusKernel,
-    ad: &[f64],
-    bd: &[f64],
-    cd: &mut [f64],
-    n: usize,
-) {
-    let kernel = if kernel == MinPlusKernel::Auto {
-        select_maxmin(n)
-    } else {
-        kernel
-    };
-    match kernel {
-        MinPlusKernel::Naive => maxmin_naive_rows(ad, bd, cd, n),
-        // No tiled (max, min) twin; the pin maps to the branchless loop.
-        MinPlusKernel::Branchless | MinPlusKernel::Tiled => maxmin_branchless_rows(ad, bd, cd, n),
-        MinPlusKernel::Packed => maxmin_packed_rows(ad, bd, cd, n, 0, n),
-        MinPlusKernel::Parallel => maxmin_parallel_rows(ad, bd, cd, n),
-        MinPlusKernel::Auto => unreachable!("Auto resolved above"),
-    }
-}
-
-/// Reference branchy loop — bit-identical to the generic fallback loop a
-/// hook-free `PathAlgebra` over [`crate::semiring::BottleneckF64`] runs.
-fn maxmin_naive_rows(ad: &[f64], bd: &[f64], cd: &mut [f64], n: usize) {
-    for i in 0..n {
-        for k in 0..n {
-            let aik = ad[i * n + k];
-            if aik == 0.0 {
-                continue;
-            }
-            let brow = &bd[k * n..k * n + n];
-            let crow = &mut cd[i * n..i * n + n];
-            for j in 0..n {
-                let v = bmin(aik, brow[j]);
-                if v > crow[j] {
-                    crow[j] = v;
-                }
-            }
-        }
-    }
-}
-
-fn maxmin_branchless_rows(ad: &[f64], bd: &[f64], cd: &mut [f64], n: usize) {
-    for i in 0..n {
-        for k in 0..n {
-            let aik = ad[i * n + k];
-            if aik == 0.0 {
-                continue;
-            }
-            let brow = &bd[k * n..k * n + n];
-            let crow = &mut cd[i * n..i * n + n];
-            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                *cv = bmax(bmin(aik, bv), *cv);
-            }
-        }
-    }
-}
-
-/// The packed *(max, min)* register-blocked kernel over rows
-/// `[i_lo, i_hi)` — the structural twin of [`packed_rows`] with `0.0` as
-/// the inert pad/skip value.
-fn maxmin_packed_rows(
-    ad: &[f64],
-    bd: &[f64],
-    crows: &mut [f64],
-    n: usize,
-    i_lo: usize,
-    i_hi: usize,
-) {
-    let panels = n.div_ceil(NR);
-    with_pool(&PACK, panels * TILE * NR, |bp| {
-        for kk in (0..n).step_by(TILE) {
-            let k_len = (n - kk).min(TILE);
-            pack_panels(bd, bp, n, kk, k_len, panels, 0.0);
-            let mut i = i_lo;
-            while i < i_hi {
-                let m = (i_hi - i).min(MR);
-                // Sparsity fast path: a zero-capacity `a` segment is the
-                // annihilator — min(0, b) = 0 never raises any max.
-                let any_capacity = (0..m).any(|r| {
-                    ad[(i + r) * n + kk..(i + r) * n + kk + k_len]
-                        .iter()
-                        .any(|v| *v != 0.0)
-                });
-                if any_capacity {
-                    match m {
-                        4 => maxmin_row_block::<4>(ad, bp, crows, n, i, i_lo, kk, k_len, panels),
-                        3 => maxmin_row_block::<3>(ad, bp, crows, n, i, i_lo, kk, k_len, panels),
-                        2 => maxmin_row_block::<2>(ad, bp, crows, n, i, i_lo, kk, k_len, panels),
-                        _ => maxmin_row_block::<1>(ad, bp, crows, n, i, i_lo, kk, k_len, panels),
-                    }
-                }
-                i += m;
-            }
-        }
-    });
-}
-
-/// The `M × NR` *(max, min)* micro-kernel: register accumulation under
-/// `acc = max(acc, min(aik, b))` maps to one `vminpd` + one `vmaxpd` per
-/// step, symmetric to the tropical `vaddpd` + `vminpd` pair.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn maxmin_row_block<const M: usize>(
-    ad: &[f64],
-    bp: &[f64],
-    crows: &mut [f64],
-    n: usize,
-    i: usize,
-    i_lo: usize,
-    kk: usize,
-    k_len: usize,
-    panels: usize,
-) {
-    let arows: [&[f64]; M] =
-        std::array::from_fn(|r| &ad[(i + r) * n + kk..(i + r) * n + kk + k_len]);
-    for p in 0..panels {
-        let j0 = p * NR;
-        let w = (n - j0).min(NR);
-        let panel = &bp[p * k_len * NR..(p + 1) * k_len * NR];
-
-        let mut acc = [[0.0; NR]; M];
-        for k in 0..k_len {
-            let bk: &[f64; NR] = panel[k * NR..k * NR + NR].try_into().unwrap();
-            for r in 0..M {
-                let aik = arows[r][k];
-                for c in 0..NR {
-                    acc[r][c] = bmax(bmin(aik, bk[c]), acc[r][c]);
-                }
-            }
-        }
-        for (r, accr) in acc.iter().enumerate() {
-            let row0 = (i - i_lo + r) * n + j0;
-            let crow = &mut crows[row0..row0 + w];
-            for (cv, &av) in crow.iter_mut().zip(accr[..w].iter()) {
-                *cv = bmax(av, *cv);
-            }
-        }
-    }
-}
-
-fn maxmin_parallel_rows(ad: &[f64], bd: &[f64], cd: &mut [f64], n: usize) {
-    let band = bands_for(n);
-    cd.par_chunks_mut(band * n)
-        .enumerate()
-        .for_each(|(chunk, crows)| {
-            let i0 = chunk * band;
-            let i1 = i0 + crows.len() / n;
-            maxmin_packed_rows(ad, bd, crows, n, i0, i1);
-        });
-}
-
-/// Slice-level in-place *(max, min)* closure (widest-path Floyd-Warshall):
-/// `d[i][j] = max(d[i][j], min(d[i][k], d[k][j]))` with the pivot row
-/// copied into the reused scratch buffer, exactly like the tropical
-/// [`fw_in_place_slices`].
-pub(crate) fn maxmin_fw_in_place_slices(d: &mut [f64], n: usize) {
-    with_pool(&KROW, n, |krow| {
-        for k in 0..n {
-            krow.copy_from_slice(&d[k * n..k * n + n]);
-            for i in 0..n {
-                let dik = d[i * n + k];
-                if dik == 0.0 {
-                    continue;
-                }
-                let row = &mut d[i * n..i * n + n];
-                for (rv, &kv) in row.iter_mut().zip(krow.iter()) {
-                    *rv = bmax(bmin(dik, kv), *rv);
-                }
-            }
-        }
-    });
-}
-
-/// Slice-level rank-1 *(max, min)* update: `d[i][j] = max(d[i][j],
-/// min(col_i[i], col_j[j]))`.
-pub(crate) fn maxmin_rank1_slices(d: &mut [f64], col_i: &[f64], col_j: &[f64], n: usize) {
-    assert_eq!(col_i.len(), n, "col_i length must equal block side");
-    assert_eq!(col_j.len(), n, "col_j length must equal block side");
-    for (i, &ci) in col_i.iter().enumerate() {
-        if ci == 0.0 {
-            continue;
-        }
-        let row = &mut d[i * n..i * n + n];
-        for (rv, &cj) in row.iter_mut().zip(col_j) {
-            *rv = bmax(bmin(ci, cj), *rv);
+            *rv = S::add(S::mul(ci, cj), *rv);
         }
     }
 }
@@ -1295,7 +891,7 @@ pub(crate) fn bool_rank1_slices(cd: &mut [bool], col_i: &[bool], col_j: &[bool],
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Block;
+    use crate::semiring::BottleneckF64;
 
     fn random_block(b: usize, seed: u64, density: f64) -> Block {
         // Tiny xorshift so the crate's unit tests don't need `rand`.
@@ -1317,11 +913,9 @@ mod tests {
         })
     }
 
-    const ALL_KERNELS: [MinPlusKernel; 5] = [
+    const ALL_KERNELS: [MinPlusKernel; 3] = [
         MinPlusKernel::Branchless,
-        MinPlusKernel::Tiled,
         MinPlusKernel::Packed,
-        MinPlusKernel::Parallel,
         MinPlusKernel::Auto,
     ];
 
@@ -1331,38 +925,12 @@ mod tests {
             let a = random_block(b, 42, 0.3);
             let x = random_block(b, 43, 0.3);
             let mut oracle = Block::infinity(b);
-            min_plus_into_naive(&a, &x, &mut oracle);
+            min_plus_into_with(MinPlusKernel::Naive, &a, &x, &mut oracle);
             for kernel in ALL_KERNELS {
                 let mut c = Block::infinity(b);
                 min_plus_into_with(kernel, &a, &x, &mut c);
                 assert_eq!(oracle, c, "b={b} kernel={kernel:?}");
             }
-        }
-    }
-
-    #[test]
-    fn tiled_matches_naive() {
-        for &b in &[1, 2, 7, 64, 65, 130] {
-            let a = random_block(b, 42, 0.3);
-            let x = random_block(b, 43, 0.3);
-            let mut c1 = Block::infinity(b);
-            let mut c2 = Block::infinity(b);
-            min_plus_into_naive(&a, &x, &mut c1);
-            min_plus_into_tiled(&a, &x, &mut c2);
-            assert_eq!(c1, c2, "b={b}");
-        }
-    }
-
-    #[test]
-    fn parallel_matches_naive() {
-        for &b in &[1, 3, 64, 100, 129] {
-            let a = random_block(b, 7, 0.4);
-            let x = random_block(b, 8, 0.4);
-            let mut c1 = Block::infinity(b);
-            let mut c2 = Block::infinity(b);
-            min_plus_into_naive(&a, &x, &mut c1);
-            min_plus_into_parallel(&a, &x, &mut c2);
-            assert_eq!(c1, c2, "b={b}");
         }
     }
 
@@ -1373,7 +941,7 @@ mod tests {
             let r = random_block(b, 3, 0.5);
             for (a, x) in [(&z, &r), (&r, &z), (&z, &z)] {
                 let mut c = r.clone();
-                min_plus_into_packed(a, x, &mut c);
+                min_plus_into_with(MinPlusKernel::Packed, a, x, &mut c);
                 assert_eq!(c, r, "all-INF operand must leave c untouched, b={b}");
             }
         }
@@ -1384,8 +952,7 @@ mod tests {
         assert_eq!(select(1), MinPlusKernel::Branchless);
         assert_eq!(select(SMALL_SIDE - 1), MinPlusKernel::Branchless);
         assert_eq!(select(SMALL_SIDE), MinPlusKernel::Packed);
-        assert_eq!(select(PARALLEL_SIDE - 1), MinPlusKernel::Packed);
-        assert_eq!(select(PARALLEL_SIDE), MinPlusKernel::Parallel);
+        assert_eq!(select(4096), MinPlusKernel::Packed);
     }
 
     #[test]
@@ -1415,17 +982,6 @@ mod tests {
         let mut manual = a.clone();
         manual.mat_min_assign(&pure);
         assert_eq!(folded, manual);
-    }
-
-    #[test]
-    fn fw_parallel_matches_sequential() {
-        for &b in &[1, 2, 33, 96] {
-            let mut s = random_block(b, 99, 0.25);
-            let mut p = s.clone();
-            floyd_warshall_in_place(&mut s);
-            floyd_warshall_in_place_parallel(&mut p);
-            assert_eq!(s, p, "b={b}");
-        }
     }
 
     #[test]
@@ -1471,32 +1027,30 @@ mod tests {
     }
 
     #[test]
-    fn tracked_kernels_match_untracked_distances() {
+    fn tracked_kernel_matches_untracked_distances() {
         use crate::parent::{ParentBlock, NO_VIA};
         for &b in &[1usize, 2, 7, 63, 64, 65, 129] {
             let a = random_block(b, 91, 0.3);
             let x = random_block(b, 92, 0.3);
             let mut oracle = Block::infinity(b);
-            min_plus_into_naive(&a, &x, &mut oracle);
-            for kernel in ALL_KERNELS {
-                let mut c = Block::infinity(b);
-                let mut v = ParentBlock::none(b);
-                // Disjoint k/row/col ranges: the degenerate-term guards
-                // never fire, so distances must be bit-exact.
-                let o = Offsets {
-                    k: 4 * b,
-                    row: 0,
-                    col: 9 * b,
-                };
-                min_plus_into_tracked_with(kernel, &a, &x, &mut c, &mut v, o);
-                assert_eq!(oracle, c, "b={b} kernel={kernel:?}");
-                // Every win recorded a global via inside the k range.
-                for i in 0..b {
-                    for j in 0..b {
-                        let via = v.get(i, j);
-                        if via != NO_VIA {
-                            assert!((4 * b..5 * b).contains(&(via as usize)));
-                        }
+            min_plus_into_with(MinPlusKernel::Naive, &a, &x, &mut oracle);
+            let mut c = Block::infinity(b);
+            let mut v = ParentBlock::none(b);
+            // Disjoint k/row/col ranges: the degenerate-term guards
+            // never fire, so distances must be bit-exact.
+            let o = Offsets {
+                k: 4 * b,
+                row: 0,
+                col: 9 * b,
+            };
+            min_plus_into_tracked(&a, &x, &mut c, &mut v, o);
+            assert_eq!(oracle, c, "b={b}");
+            // Every win recorded a global via inside the k range.
+            for i in 0..b {
+                for j in 0..b {
+                    let via = v.get(i, j);
+                    if via != NO_VIA {
+                        assert!((4 * b..5 * b).contains(&(via as usize)));
                     }
                 }
             }
@@ -1528,13 +1082,6 @@ mod tests {
         plain.fw_update_outer(&col_i, &col_j);
         fw_update_outer_tracked(&mut tracked, &mut via, &col_i, &col_j, 500);
         assert_eq!(plain, tracked);
-    }
-
-    #[test]
-    fn select_tracked_always_row_streams() {
-        for side in [1, SMALL_SIDE - 1, SMALL_SIDE, PARALLEL_SIDE, 4096] {
-            assert_eq!(select_tracked(side), MinPlusKernel::Branchless);
-        }
     }
 
     #[test]
@@ -1588,10 +1135,10 @@ mod tests {
             let a = random_caps(b, 42, 0.3);
             let x = random_caps(b, 43, 0.3);
             let mut oracle = vec![0.0; b * b];
-            maxmin_slices_with(MinPlusKernel::Naive, &a, &x, &mut oracle, b);
+            fold_slices_with::<BottleneckF64>(MinPlusKernel::Naive, &a, &x, &mut oracle, b);
             for kernel in ALL_KERNELS {
                 let mut c = vec![0.0; b * b];
-                maxmin_slices_with(kernel, &a, &x, &mut c, b);
+                fold_slices_with::<BottleneckF64>(kernel, &a, &x, &mut c, b);
                 assert_eq!(oracle, c, "b={b} kernel={kernel:?}");
             }
         }
@@ -1604,7 +1151,7 @@ mod tests {
             let r = random_caps(b, 3, 0.5);
             for (a, x) in [(&z, &r), (&r, &z), (&z, &z)] {
                 let mut c = r.clone();
-                maxmin_slices_with(MinPlusKernel::Packed, a, x, &mut c, b);
+                fold_slices_with::<BottleneckF64>(MinPlusKernel::Packed, a, x, &mut c, b);
                 assert_eq!(c, r, "zero-capacity operand must leave c untouched, b={b}");
             }
         }
@@ -1617,13 +1164,13 @@ mod tests {
         let x = random_caps(b, 12, 0.5);
         let seed = random_caps(b, 13, 0.5);
         let mut folded = seed.clone();
-        maxmin_slices_with(MinPlusKernel::Packed, &a, &x, &mut folded, b);
+        fold_slices_with::<BottleneckF64>(MinPlusKernel::Packed, &a, &x, &mut folded, b);
         let mut pure = vec![0.0; b * b];
-        maxmin_slices_with(MinPlusKernel::Packed, &a, &x, &mut pure, b);
+        fold_slices_with::<BottleneckF64>(MinPlusKernel::Packed, &a, &x, &mut pure, b);
         let manual: Vec<f64> = seed
             .iter()
             .zip(pure.iter())
-            .map(|(&s, &p)| bmax(s, p))
+            .map(|(&s, &p)| BottleneckF64::add(s, p))
             .collect();
         assert_eq!(folded, manual);
     }
@@ -1633,12 +1180,12 @@ mod tests {
         for &b in &[1usize, 2, 33, 64, 96] {
             let mut fast = random_caps(b, 99, 0.25);
             let mut slow = fast.clone();
-            maxmin_fw_in_place_slices(&mut fast, b);
+            fw_in_place_slices::<BottleneckF64>(&mut fast, b);
             for k in 0..b {
                 for i in 0..b {
                     let dik = slow[i * b + k];
                     for j in 0..b {
-                        let v = bmin(dik, slow[k * b + j]);
+                        let v = BottleneckF64::mul(dik, slow[k * b + j]);
                         if v > slow[i * b + j] {
                             slow[i * b + j] = v;
                         }
@@ -1658,32 +1205,16 @@ mod tests {
             .map(|i| if i % 5 == 0 { 0.0 } else { i as f64 + 1.0 })
             .collect();
         let col_j: Vec<f64> = (0..b).map(|j| (j * 2) as f64).collect();
-        maxmin_rank1_slices(&mut fast, &col_i, &col_j, b);
+        rank1_slices::<BottleneckF64>(&mut fast, &col_i, &col_j, b);
         for (i, &ci) in col_i.iter().enumerate() {
             for (j, &cj) in col_j.iter().enumerate() {
-                let expect = bmax(slow[i * b + j], bmin(ci, cj));
+                let expect = BottleneckF64::add(slow[i * b + j], BottleneckF64::mul(ci, cj));
                 assert_eq!(fast[i * b + j], expect, "({i},{j})");
             }
         }
     }
 
-    #[test]
-    fn select_maxmin_tiers_by_side() {
-        assert_eq!(select_maxmin(1), MinPlusKernel::Branchless);
-        assert_eq!(select_maxmin(SMALL_SIDE - 1), MinPlusKernel::Branchless);
-        assert_eq!(select_maxmin(SMALL_SIDE), MinPlusKernel::Packed);
-        assert_eq!(select_maxmin(PARALLEL_SIDE - 1), MinPlusKernel::Packed);
-        assert_eq!(select_maxmin(PARALLEL_SIDE), MinPlusKernel::Parallel);
-    }
-
     // ---- bitset kernel family -----------------------------------------
-
-    #[test]
-    fn select_boolean_always_bitset() {
-        for side in [1, SMALL_SIDE, PARALLEL_SIDE, 4096] {
-            assert_eq!(select_boolean(side), BooleanKernel::Bitset);
-        }
-    }
 
     #[test]
     fn bitset_fold_matches_naive_at_word_boundaries() {

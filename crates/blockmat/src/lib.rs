@@ -9,7 +9,9 @@
 //!   [`Semiring`], with [`Block`] (= `ElemBlock<TropicalF64>`) as the
 //!   `f64` instantiation of an adjacency matrix 2D decomposition,
 //! * min-plus matrix product kernels ([`Block::min_plus`],
-//!   [`kernels::min_plus_into`], tiled and [rayon]-parallel variants),
+//!   [`kernels::min_plus_into`]; branchless and packed register-blocked
+//!   tiers, all sequential — one block operation per core, as in the
+//!   paper),
 //! * element-wise minimum ([`Block::mat_min_assign`], the paper's `MatMin`),
 //! * an in-block Floyd-Warshall solver ([`Block::floyd_warshall_in_place`],
 //!   the paper's `FloydWarshall`),
@@ -21,9 +23,9 @@
 //!   bottleneck *(max, min)* semiring, and the boolean semiring for
 //!   transitive closure) mirroring the paper's §2 observation that APSP
 //!   is a linear-algebra problem over *(min, +)*,
-//! * specialized non-tropical kernels: the packed register-blocked
-//!   *(max, min)* engine ([`kernels::maxmin_into_with`],
-//!   [`kernels::select_maxmin`]) and the word-packed boolean bitset engine
+//! * the same kernel engine monomorphised for the bottleneck *(max, min)*
+//!   semiring ([`kernels::min_plus_into_with`] over
+//!   `ElemBlock<BottleneckF64>`), and the word-packed boolean bitset engine
 //!   ([`BitBlock`], [`kernels::bool_or_product_into`],
 //!   [`kernels::bool_closure_in_place`]), and
 //! * the [`algebra`] layer on top of it: [`PathAlgebra`] (a semiring plus

@@ -100,22 +100,7 @@ impl Matrix {
     /// `T1` reference ("efficient sequential Floyd-Warshall as implemented
     /// in SciPy", §5.4).
     pub fn floyd_warshall_in_place(&mut self) {
-        let n = self.n;
-        crate::kernels::with_scratch(n, |krow| {
-            for k in 0..n {
-                krow.copy_from_slice(&self.data[k * n..k * n + n]);
-                for i in 0..n {
-                    let dik = self.data[i * n + k];
-                    if dik == INF {
-                        continue;
-                    }
-                    let row = &mut self.data[i * n..i * n + n];
-                    for (rv, &kv) in row.iter_mut().zip(krow.iter()) {
-                        *rv = crate::kernels::tmin(dik + kv, *rv);
-                    }
-                }
-            }
-        });
+        crate::kernels::fw_in_place_slices::<crate::TropicalF64>(&mut self.data, self.n);
     }
 
     /// Decomposes into `q × q` blocks of side `b` (`q = ⌈n/b⌉`), zero-padding

@@ -2,11 +2,13 @@
 //!
 //! The paper (§2) notes that APSP "can be directly posed as a linear algebra
 //! problem, and solved using matrix operations over the semi-ring (min,+)".
-//! The `f64` fast-path kernels in [`crate::kernels`] are what the solvers
-//! use, but this module exposes the same operations over any [`Semiring`],
-//! which (a) documents the algebraic requirements the solvers rely on, and
-//! (b) supports the related primitives the paper cites (e.g. transitive
-//! closure over the boolean semiring, Katz et al. \[10\]).
+//! The `f64` kernel engine in [`crate::kernels`] is generic over the
+//! `f64`-valued instances of this trait ([`TropicalF64`],
+//! [`BottleneckF64`]); this module also exposes the same operations over
+//! any [`Semiring`], which (a) documents the algebraic requirements the
+//! solvers rely on, and (b) supports the related primitives the paper
+//! cites (e.g. transitive closure over the boolean semiring, Katz et al.
+//! \[10\]).
 
 use std::fmt::Debug;
 
@@ -120,8 +122,8 @@ impl Semiring for TropicalI64 {
 /// `a ⊗ b = min(a, b)` is the capacity of a concatenation. `0̄ = 0.0` (no
 /// path), `1̄ = +∞` (staying put constrains nothing). Shinn & Takaoka's
 /// APBP problem runs the same blocked machinery over this algebra; the
-/// bulk path runs on the packed *(max, min)* kernels in [`crate::kernels`]
-/// (see [`crate::algebra::Widest`]).
+/// bulk path runs on the kernel engine in [`crate::kernels`],
+/// monomorphised for this semiring (see [`crate::algebra::Widest`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BottleneckF64;
 

@@ -57,11 +57,7 @@ impl KernelRates {
         let x = mk(3);
         let mut c = Block::infinity(b);
         let t1 = Instant::now();
-        // Explicitly packed: these are *sequential* per-core rates feeding
-        // the cluster model (parallelism is applied by the model itself),
-        // so auto-dispatch going rayon-parallel at b >= 1024 must not leak
-        // an N-core rate in here.
-        kernels::min_plus_into_packed(&a, &x, &mut c);
+        kernels::min_plus_into(&a, &x, &mut c);
         let mp_rate = t1.elapsed().as_secs_f64() / ops;
 
         let mut u = mk(4);

@@ -1301,16 +1301,9 @@ impl Plan {
     pub fn kernel_tier(&self) -> String {
         match self.workload {
             Workload::ShortestPaths => match self.kernel {
-                MinPlusKernel::Auto => {
-                    if self.paths {
-                        format!(
-                            "auto -> {:?} (tracked tier)",
-                            kernels::select_tracked(self.block_size)
-                        )
-                    } else {
-                        format!("auto -> {:?}", kernels::select(self.block_size))
-                    }
-                }
+                // The tracked engine is one row-streaming loop at every side.
+                MinPlusKernel::Auto if self.paths => "auto -> Branchless (tracked tier)".into(),
+                MinPlusKernel::Auto => format!("auto -> {:?}", kernels::select(self.block_size)),
                 other => format!("{other:?} (pinned)"),
             },
             Workload::Widest => {
@@ -1319,8 +1312,8 @@ impl Plan {
                 } else {
                     match self.kernel {
                         MinPlusKernel::Auto => format!(
-                            "auto -> {:?} (packed (max, min) engine)",
-                            kernels::select_maxmin(self.block_size)
+                            "auto -> {:?} ((max, min) engine)",
+                            kernels::select(self.block_size)
                         ),
                         other => format!("{other:?} (pinned, (max, min) engine)"),
                     }

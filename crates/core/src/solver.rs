@@ -61,9 +61,9 @@ pub struct SolverConfig {
     /// zero diagonal, non-negative). Costs O(n²); on by default.
     pub validate_input: bool,
     /// Which min-plus kernel the block products run on. `Auto` (default)
-    /// dispatches by block side — branchless for small blocks, the packed
-    /// register-blocked engine for mid sizes, rayon-parallel beyond; the
-    /// explicit variants exist for ablations and benchmarks.
+    /// dispatches by block side — branchless below 128, the packed
+    /// register-blocked engine from 128; the explicit variants exist for
+    /// ablations and benchmarks.
     pub kernel: MinPlusKernel,
     /// Track shortest-path witnesses alongside distances: every block
     /// update runs the argmin-recording kernel tier and the result carries
@@ -153,7 +153,9 @@ impl SolverConfig {
         self
     }
 
-    /// Pins the min-plus kernel (default: [`MinPlusKernel::Auto`]).
+    /// Pins the kernel tier of the `f64` engine (default:
+    /// [`MinPlusKernel::Auto`]): `Naive`, `Branchless` or `Packed`. Every
+    /// tier is sequential per block; the executor owns the cores.
     pub fn with_kernel(mut self, kernel: MinPlusKernel) -> Self {
         self.kernel = kernel;
         self

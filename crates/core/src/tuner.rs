@@ -62,13 +62,21 @@ pub fn tune_with_model(
     best
 }
 
+/// Largest grid order `q = ⌈n/b⌉` the block-size ladder will project: the
+/// largest the paper grid produces (`262144 / 256`). The model's cost per
+/// candidate grows as `q²` (the partitioner-skew histogram walks every
+/// block key), and a grid finer than this is scheduling overhead, not a
+/// plan, so finer candidates are dropped rather than projected.
+pub const MAX_GRID_ORDER: usize = 1024;
+
 /// Routes a block-size suggestion through the cluster model's feasibility
 /// verdict — the check shared by the query planner (`crate::plan`) and
 /// [`crate::SolverConfig::auto`].
 ///
 /// Returns `suggested` unchanged when [`project`] marks it feasible for
 /// `solver` on `spec`. Otherwise sweeps a candidate grid — the paper grid
-/// plus power-of-two refinements of `suggested` down to `1` — through
+/// plus power-of-two refinements of `suggested`, down to the smallest
+/// block whose grid order stays within [`MAX_GRID_ORDER`] — through
 /// [`tune_with_model`] and returns the feasible candidate with the lowest
 /// projected total. `None` when no candidate is feasible (the cluster
 /// cannot run this solver at this `n` for any block size, e.g. the
@@ -98,7 +106,7 @@ pub fn feasible_block_size(
         }
         half /= 2;
     }
-    candidates.retain(|&b| b <= n.max(1));
+    candidates.retain(|&b| b <= n.max(1) && n.div_ceil(b) <= MAX_GRID_ORDER);
     tune_with_model(solver, n, spec, rates, overheads, &candidates).map(|(b, _)| b)
 }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# LoC budget guard: the solver-clone duplication that PR 4 deleted must
-# not silently grow back.
+# LoC budget guard: the solver-clone duplication that PR 4 deleted and the
+# kernel-engine twin that PR 15 deleted must not silently grow back.
 #
 # PR 3 carried four hand-cloned path-tracking solvers in
 # crates/core/src/tracked.rs (745 lines). PR 4 collapsed them into the
@@ -39,5 +39,12 @@ check_budget() {
 # coming back — extend the generic engine instead.
 check_budget crates/core/src/tracked.rs 100 \
     "tracked solvers are the TrackedTropical instantiation of crates/core/src/engine.rs; do not re-clone them"
+
+# The kernel engine: PR 15 folded the (max, min) copy of the tropical
+# engine and the Tiled/Parallel tiers into one engine generic over
+# `Semiring` (1,818 -> under 1,400 lines). A second per-algebra copy of
+# the row loop / packed micro-kernel / closure would push it back over.
+check_budget crates/blockmat/src/kernels.rs 1400 \
+    "the f64 kernels are one engine generic over S: Semiring<Elem = f64>; monomorphise it for a new algebra instead of copying it"
 
 exit "$status"

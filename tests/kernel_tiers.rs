@@ -29,11 +29,9 @@ use proptest::prelude::*;
 const SIDES: [usize; 7] = [1, 63, 64, 65, 127, 128, 129];
 
 /// Every non-oracle tier a product hook can dispatch to.
-const TIERS: [MinPlusKernel; 5] = [
+const TIERS: [MinPlusKernel; 3] = [
     MinPlusKernel::Branchless,
-    MinPlusKernel::Tiled,
     MinPlusKernel::Packed,
-    MinPlusKernel::Parallel,
     MinPlusKernel::Auto,
 ];
 
@@ -311,7 +309,6 @@ where
     for kernel in [
         MinPlusKernel::Naive,
         MinPlusKernel::Branchless,
-        MinPlusKernel::Tiled,
         MinPlusKernel::Auto,
     ] {
         let mut fast = seed.to_vec();

@@ -102,6 +102,29 @@ fn infeasible_im_falls_back_to_cb() {
     assert_eq!(roomy.solver, SolverId::BlockedInMemory);
 }
 
+/// The same fallback at the paper's largest size must be answered in
+/// bounded time: the block-size ladder stops at `tuner::MAX_GRID_ORDER`
+/// instead of projecting grids down to `b = 1` (each rung costs `q²`).
+#[test]
+fn infeasible_im_at_paper_scale_plans_in_bounded_time() {
+    let g = generators::path(1 << 18);
+    let started = std::time::Instant::now();
+    let plan = Problem::new(&g)
+        .prefer(SolverId::BlockedInMemory)
+        .on_cluster(apspark::cluster::ClusterSpec::paper_cluster())
+        .plan(&ctx())
+        .unwrap();
+    let took = started.elapsed();
+    assert!(took.as_secs_f64() < 2.0, "planning took {took:?}");
+    assert!(
+        plan.notes()
+            .iter()
+            .any(|n| n.rule == "im-infeasible-fallback"),
+        "Table 3 fallback must be recorded: {:?}",
+        plan.notes()
+    );
+}
+
 #[test]
 fn undirected_paths_fallback_from_pathless_solvers() {
     let g = generators::erdos_renyi_paper(32, 0.1, 3);
