@@ -157,7 +157,7 @@ fn finish<A: PathAlgebra>(
 }
 
 macro_rules! impl_algebra_solver {
-    ($solver:ty, $engine_fn:path) => {
+    ($solver:ty, $engine_fn:path $(, $grid:expr)?) => {
         impl AlgebraSolver for $solver {
             fn solve_algebra<A: PathAlgebra>(
                 &self,
@@ -176,16 +176,26 @@ macro_rules! impl_algebra_solver {
                 }
                 let start = Instant::now();
                 let metrics_before = ctx.metrics();
-                let run = $engine_fn(ctx, n, weight, cfg)?;
+                let run = $engine_fn(ctx, n, weight, cfg $(, $grid)?)?;
                 finish(ctx, start, metrics_before, run)
             }
         }
     };
 }
 
-impl_algebra_solver!(crate::BlockedCollectBroadcast, engine::solve_cb::<A>);
+// `validate_symmetric` is the input contract, so the two loops that have
+// a grid axis run on the triangle.
+impl_algebra_solver!(
+    crate::BlockedCollectBroadcast,
+    engine::solve_cb::<A>,
+    engine::Grid::UpperTriangle
+);
 impl_algebra_solver!(crate::BlockedInMemory, engine::solve_im::<A>);
-impl_algebra_solver!(crate::FloydWarshall2D, engine::solve_fw2d::<A>);
+impl_algebra_solver!(
+    crate::FloydWarshall2D,
+    engine::solve_fw2d::<A>,
+    engine::Grid::UpperTriangle
+);
 impl_algebra_solver!(crate::RepeatedSquaring, engine::solve_rs::<A>);
 
 /// All-pairs **widest (bottleneck) paths** over an undirected

@@ -1,7 +1,7 @@
 //! Algorithm 4: Blocked Collect/Broadcast — the paper's best solver.
 
 use crate::blocks::BlockedMatrix;
-use crate::engine::{self, AlgRun};
+use crate::engine::{self, AlgRun, Grid};
 use crate::solver::{validate_adjacency, ApspError, ApspResult, ApspSolver, SolverConfig};
 use apsp_blockmat::{Matrix, TrackedTropical, Tropical};
 use sparklet::{SparkContext, SparkError};
@@ -44,7 +44,13 @@ impl ApspSolver for BlockedCollectBroadcast {
         cfg: &SolverConfig,
     ) -> Result<ApspResult, ApspError> {
         if cfg.track_paths {
-            return engine::solve_tracked(ctx, adjacency, cfg, engine::solve_cb::<TrackedTropical>);
+            return engine::solve_tracked(
+                ctx,
+                adjacency,
+                cfg,
+                Grid::UpperTriangle,
+                engine::solve_cb::<TrackedTropical>,
+            );
         }
         let dd = self.solve_distributed(ctx, adjacency, cfg)?;
         let result = dd.blocked.collect_to_matrix()?;
@@ -158,7 +164,13 @@ impl BlockedCollectBroadcast {
         let start = Instant::now();
         let metrics_before = ctx.metrics();
 
-        let run: AlgRun<Tropical> = engine::solve_cb(ctx, n, &|i, j| adjacency.get(i, j), cfg)?;
+        let run: AlgRun<Tropical> = engine::solve_cb(
+            ctx,
+            n,
+            &|i, j| adjacency.get(i, j),
+            cfg,
+            Grid::UpperTriangle,
+        )?;
 
         let metrics = ctx.metrics().delta(&metrics_before);
         let rdd = run.rdd.map(|(key, ab)| (key, ab.into_parts().0));

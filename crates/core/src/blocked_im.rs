@@ -1,6 +1,6 @@
 //! Algorithm 3: Blocked In-Memory — the pure blocked solver.
 
-use crate::engine::{self, AlgRun};
+use crate::engine::{self, AlgRun, Grid};
 use crate::solver::{validate_adjacency, ApspError, ApspResult, ApspSolver, SolverConfig};
 use apsp_blockmat::{Matrix, TrackedTropical, Tropical};
 use sparklet::SparkContext;
@@ -47,7 +47,13 @@ impl ApspSolver for BlockedInMemory {
         cfg: &SolverConfig,
     ) -> Result<ApspResult, ApspError> {
         if cfg.track_paths {
-            return engine::solve_tracked(ctx, adjacency, cfg, engine::solve_im::<TrackedTropical>);
+            return engine::solve_tracked(
+                ctx,
+                adjacency,
+                cfg,
+                Grid::UpperTriangle,
+                |c, n, w, cfg, _| engine::solve_im::<TrackedTropical>(c, n, w, cfg),
+            );
         }
         let n = adjacency.order();
         cfg.check(n)?;

@@ -11,7 +11,7 @@
 
 use crate::blocks::{canonical, BlockKey};
 use apsp_blockmat::kernels::MinPlusKernel;
-use apsp_blockmat::{AlgBlock, Block, ElemBlock, Offsets, PathAlgebra, Semiring};
+use apsp_blockmat::{AlgBlock, ElemBlock, Offsets, PathAlgebra, Semiring};
 use sparklet::EstimateSize;
 
 /// `InColumn` (Table 1): does the stored upper-triangular record `key`
@@ -199,17 +199,10 @@ pub fn floyd_warshall_alg<A: PathAlgebra>(mut blk: AlgBlock<A>, diag_offset: usi
     blk
 }
 
-/// `FloydWarshall` over a plain `f64` distance block (the directed
-/// solvers' untracked phase-1 step).
-pub fn floyd_warshall(mut blk: Block) -> Block {
-    blk.floyd_warshall_in_place();
-    blk
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apsp_blockmat::{Tropical, INF};
+    use apsp_blockmat::{Block, Tropical, INF};
 
     fn blk(vals: [[f64; 2]; 2]) -> ElemBlock<apsp_blockmat::TropicalF64> {
         ElemBlock::from_fn(2, |i, j| vals[i][j])
@@ -352,15 +345,7 @@ mod tests {
         a.set(1, 0, 1.0);
         a.set(1, 2, 1.0);
         a.set(2, 1, 1.0);
-        let closed = floyd_warshall(a);
-        assert_eq!(closed.get(0, 2), 2.0);
-
-        let mut t = Block::identity(3);
-        t.set(0, 1, 1.0);
-        t.set(1, 0, 1.0);
-        t.set(1, 2, 1.0);
-        t.set(2, 1, 1.0);
-        let closed_alg = floyd_warshall_alg(AlgBlock::<Tropical>::from_dist(t), 0);
-        assert_eq!(closed_alg.dist(), &closed);
+        let closed = floyd_warshall_alg(AlgBlock::<Tropical>::from_dist(a), 0);
+        assert_eq!(closed.dist().get(0, 2), 2.0);
     }
 }

@@ -2,59 +2,16 @@
 //! symmetricity of A, our algorithms can be directly adopted for cases
 //! where G is a directed graph").
 //!
-//! Dropping symmetry means the full `q × q` block grid is stored (no
-//! upper-triangular halving, no transpose-on-demand) and the pivot *row*
-//! and pivot *column* of each blocked iteration become distinct data: the
-//! Collect/Broadcast dissemination stages both.
+//! Exactly that happens here: both solvers are the generic
+//! Collect/Broadcast and 2D Floyd-Warshall loops of the crate-private
+//! `engine` module run on its full `q × q` block grid instead of the upper
+//! triangle — no halving, no transpose-on-demand, pivot row and pivot
+//! column distinct stored data. This module holds no loop of its own.
 
-use crate::blocks::{BlockKey, BlockRecord};
-use crate::building_blocks::floyd_warshall;
+use crate::engine::{solve_cb, solve_dense, solve_fw2d, solve_tracked, Grid};
 use crate::solver::{ApspError, ApspResult, SolverConfig};
-use apsp_blockmat::{AlgBlock, Matrix, PathAlgebra, TrackedTropical, Tropical, TropicalF64, INF};
-use sparklet::{Partitioner, Rdd, SparkContext, SparkError};
-use std::sync::Arc;
-use std::time::Instant;
-
-/// The distributed *full* (non-symmetric) blocked matrix.
-pub struct FullBlockedMatrix {
-    /// Vertex count (pre-padding).
-    pub n: usize,
-    /// Block side.
-    pub b: usize,
-    /// Grid order.
-    pub q: usize,
-    /// All `q²` block records.
-    pub rdd: Rdd<BlockRecord>,
-}
-
-impl FullBlockedMatrix {
-    /// Decomposes a dense (possibly asymmetric) matrix into all `q²`
-    /// blocks.
-    pub fn from_matrix(
-        ctx: &SparkContext,
-        m: &Matrix,
-        b: usize,
-        partitioner: Arc<dyn Partitioner<BlockKey>>,
-    ) -> Self {
-        let n = m.order();
-        let q = n.div_ceil(b);
-        let blocks = m.to_blocks(b);
-        let mut records = Vec::with_capacity(q * q);
-        for bi in 0..q {
-            for bj in 0..q {
-                records.push(((bi, bj), blocks[bi * q + bj].clone()));
-            }
-        }
-        let rdd = ctx.parallelize_by(records, partitioner);
-        FullBlockedMatrix { n, b, q, rdd }
-    }
-
-    /// Rebuilds the dense matrix (trims padding).
-    pub fn collect_to_matrix(&self) -> sparklet::SparkResult<Matrix> {
-        let records = self.rdd.collect()?;
-        Ok(Matrix::from_blocks(self.n, self.b, records))
-    }
-}
+use apsp_blockmat::{Matrix, Tropical};
+use sparklet::SparkContext;
 
 /// Directed Blocked Collect/Broadcast: Algorithm 4 without the symmetry
 /// shortcut. Phase 2 updates both the pivot row-block and column-block;
@@ -63,37 +20,21 @@ impl FullBlockedMatrix {
 ///
 /// # Why `with_paths` is still rejected here
 ///
-/// The tracked kernel tier records, per cell, the winning intermediate
-/// vertex of a fold `A_XY ⊕ (A_Xi ⊗ A_iY)` under a **seeding contract**:
-/// degenerate terms (global `k` equal to the target's row or column) are
-/// skipped because the fold target already holds the estimate they would
-/// restate. In this solver the Phase-2 cross blocks are staged *after*
-/// their own update but *consumed by each other's orientation*: the
-/// staged `C_X` and `R_Y` pieces are distinct objects whose element
-/// values may already include relaxations through pivot block `i` that
-/// the *stored* target has not seen, and — unlike the undirected solver —
-/// there is no transpose-mirror argument tying the two orientations'
-/// argmins together. Giving each orientation its own parent plane (so
-/// `via(i,j)` and `via(j,i)` evolve independently) is the planned fix
-/// (see ROADMAP); until those per-orientation parent blocks exist,
-/// accepting `with_paths` here could emit vias whose expansion does not
-/// terminate, so the config is rejected loudly instead. Use
-/// [`DirectedFloydWarshall2D`], whose single-pivot rank-1 updates need no
-/// seeding argument, for directed path tracking.
+/// The tracked kernel tier records the winning intermediate vertex of a
+/// fold `A_XY ⊕ (A_Xi ⊗ A_iY)` under a **seeding contract**: degenerate
+/// terms (global `k` equal to the target's row or column) are skipped
+/// because the target already holds the estimate they would restate. On
+/// the triangle a transpose-mirror argument ties the two staged
+/// orientations' argmins together; here `C_X` and `R_Y` are distinct
+/// objects that may already include relaxations through pivot block `i`
+/// the *stored* target has not seen. The full grid does give each
+/// orientation its own parent plane (the planned fix, see ROADMAP), but
+/// until tracked full-grid CB is validated against the directed oracles a
+/// via whose expansion does not terminate cannot be ruled out, so the
+/// config is rejected loudly. Use [`DirectedFloydWarshall2D`], whose
+/// single-pivot rank-1 updates need no seeding argument.
 #[derive(Debug, Default, Clone)]
 pub struct DirectedBlockedCB;
-
-fn diag_key(i: usize) -> String {
-    format!("dcb:{i}:diag")
-}
-
-fn row_key(i: usize, j: usize) -> String {
-    format!("dcb:{i}:row:{j}")
-}
-
-fn col_key(i: usize, t: usize) -> String {
-    format!("dcb:{i}:col:{t}")
-}
 
 impl DirectedBlockedCB {
     /// Solver label.
@@ -112,98 +53,13 @@ impl DirectedBlockedCB {
         if cfg.track_paths {
             return Err(ApspError::InvalidConfig(
                 "path tracking (with_paths) is not supported by DirectedBlockedCB: its staged \
-                 cross pieces would need per-orientation parent blocks (see the type-level docs); \
-                 use DirectedFloydWarshall2D::solve with with_paths, or \
+                 cross pieces have no validated seeding contract on the full grid (see the \
+                 type-level docs); use DirectedFloydWarshall2D::solve with with_paths, or \
                  apsp_graph::paths::floyd_warshall_vias for a sequential oracle"
                     .into(),
             ));
         }
-        let n = adjacency.order();
-        cfg.check(n)?;
-        if cfg.validate_input {
-            apsp_graph::validate_directed_adjacency(adjacency).map_err(ApspError::InvalidInput)?;
-        }
-        let start = Instant::now();
-        let metrics_before = ctx.metrics();
-
-        let b = cfg.block_size;
-        let q = n.div_ceil(b);
-        let partitioner = cfg.partitioner.build(q, cfg.partitions_for(ctx));
-        let full = FullBlockedMatrix::from_matrix(ctx, adjacency, b, partitioner.clone());
-        let mut a = full.rdd.clone().persist();
-        let kern = cfg.kernel;
-
-        for i in 0..q {
-            // Phase 1: close and stage the diagonal block.
-            let diag_rdd = a
-                .filter(move |(key, _)| *key == (i, i))
-                .map(|(key, blk)| (key, floyd_warshall(blk)))
-                .persist();
-            let diag = diag_rdd
-                .collect()?
-                .into_iter()
-                .next()
-                .ok_or_else(|| {
-                    ApspError::Engine(SparkError::User(format!("missing diagonal block {i}")))
-                })?
-                .1;
-            ctx.side_channel().put_block(diag_key(i), diag)?;
-
-            // Phase 2: pivot column blocks A_Xi ← min(A_Xi, A_Xi ⊗ D*) and
-            // pivot row blocks A_iY ← min(A_iY, D* ⊗ A_iY).
-            let side = ctx.clone();
-            let cross = a
-                .filter(move |((x, y), _)| (*y == i) ^ (*x == i)) // cross minus diagonal
-                .try_map(move |((x, y), mut blk)| {
-                    let d = side.side_channel().get_block_arc(&diag_key(i))?;
-                    if y == i {
-                        blk.min_plus_assign_with(kern, &d);
-                    } else {
-                        blk.min_plus_left_assign_with(kern, &d);
-                    }
-                    Ok(((x, y), blk))
-                })
-                .persist();
-            for ((x, y), blk) in cross.collect()? {
-                if y == i {
-                    ctx.side_channel().put_block(col_key(i, x), blk)?;
-                } else {
-                    ctx.side_channel().put_block(row_key(i, y), blk)?;
-                }
-            }
-
-            // Phase 3: A_XY ← min(A_XY, C_X ⊗ R_Y) for X ≠ i, Y ≠ i.
-            let side = ctx.clone();
-            let off = a.filter(move |((x, y), _)| *x != i && *y != i).try_map(
-                move |((x, y), mut blk)| {
-                    let c_x = side.side_channel().get_block_arc(&col_key(i, x))?;
-                    let r_y = side.side_channel().get_block_arc(&row_key(i, y))?;
-                    blk.min_plus_into_self_with(kern, &c_x, &r_y);
-                    Ok(((x, y), blk))
-                },
-            );
-
-            let next = diag_rdd
-                .union_all(&[cross.clone(), off])
-                .partition_by(partitioner.clone())
-                .persist();
-            next.count()?;
-            ctx.side_channel().remove(&diag_key(i));
-            for t in 0..q {
-                ctx.side_channel().remove(&col_key(i, t));
-                ctx.side_channel().remove(&row_key(i, t));
-            }
-            diag_rdd.unpersist();
-            cross.unpersist();
-            a.unpersist();
-            a = next;
-        }
-
-        let result = FullBlockedMatrix { n, b, q, rdd: a }.collect_to_matrix()?;
-        // Padding sanity: padded rows must stay isolated.
-        debug_assert!(result.data().iter().all(|v| *v >= 0.0 || *v == INF));
-        let metrics = ctx.metrics().delta(&metrics_before);
-        Ok(ApspResult::new(result, metrics, start.elapsed(), q as u64))
+        solve_dense(ctx, adjacency, cfg, Grid::Full, solve_cb::<Tropical>).map(|(result, _)| result)
     }
 }
 
@@ -228,130 +84,19 @@ impl DirectedFloydWarshall2D {
     /// rank-1 update records the broadcast pivot as the via — a valid
     /// interior vertex of the *directed* `i → j` path by construction.
     /// Both modes run the same generic full-grid loop, instantiated with
-    /// [`Tropical`] or [`TrackedTropical`].
+    /// [`Tropical`] or [`apsp_blockmat::TrackedTropical`].
     pub fn solve(
         &self,
         ctx: &SparkContext,
         adjacency: &Matrix,
         cfg: &SolverConfig,
     ) -> Result<ApspResult, ApspError> {
-        let n = adjacency.order();
-        cfg.check(n)?;
-        if cfg.validate_input {
-            apsp_graph::validate_directed_adjacency(adjacency).map_err(ApspError::InvalidInput)?;
-        }
-        let start = Instant::now();
-        let metrics_before = ctx.metrics();
         if cfg.track_paths {
-            let (vals, vias) = fw2d_full_grid::<TrackedTropical>(ctx, adjacency, cfg)?;
-            let metrics = ctx.metrics().delta(&metrics_before);
-            Ok(ApspResult::new(
-                Matrix::from_vec(n, vals),
-                metrics,
-                start.elapsed(),
-                n as u64,
-            )
-            .with_parents(apsp_graph::paths::ParentMatrix::from_vias(n, vias)))
-        } else {
-            let (vals, _) = fw2d_full_grid::<Tropical>(ctx, adjacency, cfg)?;
-            let metrics = ctx.metrics().delta(&metrics_before);
-            Ok(ApspResult::new(
-                Matrix::from_vec(n, vals),
-                metrics,
-                start.elapsed(),
-                n as u64,
-            ))
+            return solve_tracked(ctx, adjacency, cfg, Grid::Full, solve_fw2d);
         }
+        solve_dense(ctx, adjacency, cfg, Grid::Full, solve_fw2d::<Tropical>)
+            .map(|(result, _)| result)
     }
-}
-
-/// The directed 2D Floyd-Warshall loop over the full `q × q` grid,
-/// generic over the path algebra (the tropical `f64` element type is
-/// fixed — directed inputs are adjacency matrices). Returns the dense
-/// `n × n` values and payloads, collected without transpose-mirroring:
-/// each orientation owns its elements *and* payloads.
-fn fw2d_full_grid<A: PathAlgebra<Semi = TropicalF64>>(
-    ctx: &SparkContext,
-    adjacency: &Matrix,
-    cfg: &SolverConfig,
-) -> Result<(Vec<f64>, Vec<A::Payload>), ApspError> {
-    let n = adjacency.order();
-    let b = cfg.block_size;
-    let q = n.div_ceil(b);
-    let partitioner = cfg.partitioner.build(q, cfg.partitions_for(ctx));
-    let blocks = adjacency.to_blocks(b);
-    let mut records = Vec::with_capacity(q * q);
-    for bi in 0..q {
-        for bj in 0..q {
-            records.push((
-                (bi, bj),
-                AlgBlock::<A>::from_dist(blocks[bi * q + bj].clone()),
-            ));
-        }
-    }
-    let mut a: Rdd<(BlockKey, AlgBlock<A>)> = ctx.parallelize_by(records, partitioner).persist();
-    let mut prev: Option<Rdd<(BlockKey, AlgBlock<A>)>> = None;
-
-    for k in 0..n {
-        let pivot = k / b;
-        let k_local = k % b;
-
-        // Pivot column: d(x, k) from column-block records (Y == pivot).
-        let col_segments = a
-            .filter(move |((_, y), _)| *y == pivot)
-            .map(move |((x, _), ab)| (x, ab.dist().extract_col(k_local)))
-            .collect()?;
-        // Pivot row: d(k, y) from row-block records (X == pivot).
-        let row_segments = a
-            .filter(move |((x, _), _)| *x == pivot)
-            .map(move |((_, y), ab)| (y, ab.dist().extract_row(k_local)))
-            .collect()?;
-
-        let mut col = vec![INF; q * b];
-        for (block_row, values) in col_segments {
-            col[block_row * b..block_row * b + b].copy_from_slice(&values);
-        }
-        let mut row = vec![INF; q * b];
-        for (block_col, values) in row_segments {
-            row[block_col * b..block_col * b + b].copy_from_slice(&values);
-        }
-        let col_b = ctx.broadcast(col);
-        let row_b = ctx.broadcast(row);
-
-        let next = a
-            .map(move |((x, y), mut ab)| {
-                let col_i = &col_b.value()[x * b..x * b + b]; // d(·, k)
-                let row_j = &row_b.value()[y * b..y * b + b]; // d(k, ·)
-                ab.fw_update_outer(col_i, row_j, k);
-                ((x, y), ab)
-            })
-            .persist();
-        if let Some(old) = prev.take() {
-            old.unpersist();
-        }
-        prev = Some(a);
-        a = next;
-    }
-
-    // Collect the full grid, trimming padding.
-    let mut vals = vec![INF; n * n];
-    let mut pays = vec![A::empty_payload(); n * n];
-    for ((bi, bj), ab) in a.collect()? {
-        for i in 0..b {
-            let gi = bi * b + i;
-            if gi >= n {
-                continue;
-            }
-            for j in 0..b {
-                let gj = bj * b + j;
-                if gj < n {
-                    vals[gi * n + gj] = ab.dist().get(i, j);
-                    pays[gi * n + gj] = ab.via().get(i, j);
-                }
-            }
-        }
-    }
-    Ok((vals, pays))
 }
 
 #[cfg(test)]
@@ -527,16 +272,49 @@ mod tests {
     }
 
     #[test]
-    fn stores_full_grid() {
-        let sc = ctx();
-        let g = generators::erdos_renyi_directed(16, 0.2, 5);
-        let full = FullBlockedMatrix::from_matrix(
-            &sc,
-            &g.to_dense(),
-            4,
-            crate::PartitionerChoice::MultiDiagonal.build(4, 8),
-        );
-        assert_eq!(full.rdd.count().unwrap(), 16); // q² = 16, not q(q+1)/2
-        assert_eq!(full.collect_to_matrix().unwrap(), g.to_dense());
+    fn symmetric_input_fw2d_full_grid_matches_the_triangle_bit_for_bit() {
+        // Same loop, same relaxation order: on a symmetric input the grid
+        // axis changes what is stored, never a value — tracked or not.
+        let adj = generators::erdos_renyi_paper(45, 0.1, 13).to_dense();
+        for cfg in [SolverConfig::new(12), SolverConfig::new(12).with_paths()] {
+            let full = DirectedFloydWarshall2D.solve(&ctx(), &adj, &cfg).unwrap();
+            let tri = crate::FloydWarshall2D.solve(&ctx(), &adj, &cfg).unwrap();
+            assert!(full.distances().approx_eq(tri.distances(), 0.0).is_ok());
+            assert_eq!(full.parents().is_some(), cfg.track_paths);
+        }
+    }
+
+    #[test]
+    fn directed_cb_counters_match_the_closed_forms() {
+        // No redundant transposes: per round the diagonal plus 2(q-1) cross
+        // blocks are staged, read once per cross block and twice per other
+        // block — what the hand-written loop this replaced reported.
+        let (q, partitions) = (4u64, 8u64); // n = 64, b = 16; 2 x 4 cores
+        let adj = generators::erdos_renyi_directed(64, 0.1, 1).to_dense();
+        let m = DirectedBlockedCB
+            .solve(&ctx(), &adj, &SolverConfig::new(16))
+            .unwrap()
+            .metrics;
+        assert_eq!(m.side_channel_writes, q * (2 * q - 1));
+        assert_eq!(m.side_channel_reads, q * 2 * (q - 1) * q);
+        assert_eq!((m.jobs, m.stages, m.shuffles), (3 * q + 1, 4 * q + 1, q));
+        assert_eq!(m.tasks, partitions * (6 * q + 1));
+        assert_eq!(m.collected_records, q * (2 * q - 1) + q * q);
+    }
+
+    #[test]
+    fn full_grid_solves_reject_checkpoint_specs() {
+        // The checkpoint format covers the triangle only; a dropped spec
+        // would report a protected (or resumed) solve that is neither.
+        let dir = std::env::temp_dir().join("apspark-directed-ckpt-rejected");
+        let adj = generators::erdos_renyi_directed(12, 0.2, 3).to_dense();
+        let cfg = SolverConfig::new(4).with_checkpoints(crate::CheckpointSpec::every(&dir, 1));
+        for res in [
+            DirectedBlockedCB.solve(&ctx(), &adj, &cfg),
+            DirectedFloydWarshall2D.solve(&ctx(), &adj, &cfg),
+        ] {
+            assert!(matches!(res, Err(ApspError::InvalidConfig(_))));
+        }
+        assert!(!dir.exists(), "a rejected spec must not touch the disk");
     }
 }

@@ -29,7 +29,9 @@
 //! 2. **Transposition is free.** On undirected instances an interior
 //!    vertex of a shortest `i → j` path is interior to the reversed path,
 //!    so the upper-triangle storage (paper §4) mirrors algebra blocks by
-//!    plain transposition, exactly like distances.
+//!    plain transposition, exactly like distances. Directed instances
+//!    "disregard symmetricity" (§4) by running the same Blocked-CB and
+//!    FW-2D loops on [`Grid::Full`], where nothing is mirrored.
 //! 3. **Strict-improvement updates compose.** Every relaxation either
 //!    strictly improves a cell (and re-records its payload) or leaves it
 //!    alone, so any interleaving of phases/sweeps keeps each cell's
@@ -42,12 +44,13 @@ use crate::building_blocks::{
     copy_col, copy_diag, extract_col_parts, in_column, on_diagonal, unpack_and_update, AlgPiece,
 };
 use crate::checkpoint::Checkpointer;
-use crate::solver::{ApspError, SolverConfig};
+use crate::solver::{ApspError, ApspResult, SolverConfig};
 use apsp_blockmat::algebra::Elem;
 use apsp_blockmat::{
-    AlgBlock, Block, BoolSemiring, BottleneckF64, ElemBlock, Offsets, PathAlgebra, Semiring,
-    TrackedTropical,
+    AlgBlock, Block, BoolSemiring, BottleneckF64, ElemBlock, Matrix, Offsets, PathAlgebra,
+    Semiring, TrackedTropical, TropicalF64,
 };
+use apsp_graph::paths::ParentMatrix;
 use sparklet::{
     EstimateSize, Partitioner, Rdd, SideChannel, SparkContext, SparkError, SparkResult,
 };
@@ -102,6 +105,19 @@ impl Stageable for ElemBlock<BoolSemiring> {
     }
 }
 
+/// Which blocks of the `q × q` grid a solve stores — the one axis on which
+/// directed and undirected solves differ. Chosen by the front-end from the
+/// input's directedness, never by a user option.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Grid {
+    /// Symmetric input: keys `(I, J)` with `I ≤ J`; the lower half is the
+    /// transpose of the upper (paper §4).
+    UpperTriangle,
+    /// Asymmetric (directed) input: all `q²` keys, each orientation owning
+    /// its own elements and payloads.
+    Full,
+}
+
 /// Outcome of a generic solver loop: the closed distributed blocks plus
 /// geometry. Metrics and wall-clock are accounted by the calling
 /// front-end so each keeps its historical measurement window.
@@ -109,18 +125,20 @@ pub(crate) struct AlgRun<A: PathAlgebra> {
     pub n: usize,
     pub b: usize,
     pub q: usize,
+    pub grid: Grid,
     pub rdd: Rdd<AlgRecord<A>>,
     pub iterations: u64,
 }
 
 impl<A: PathAlgebra> AlgRun<A> {
     /// Rebuilds the dense element matrix *and* the dense payload matrix
-    /// from the distributed upper triangle, mirroring across the diagonal
-    /// (valid on the symmetric instances the upper-triangle storage
-    /// assumes) and trimming padding.
+    /// from the distributed blocks, trimming padding. An upper-triangle
+    /// run is mirrored across the diagonal (valid on the symmetric
+    /// instances that storage assumes); a full-grid run is copied as is.
     pub fn collect_dense(&self) -> SparkResult<DenseParts<A>> {
         let records = self.rdd.collect()?;
         let (n, b) = (self.n, self.b);
+        let mirror = self.grid == Grid::UpperTriangle;
         let mut vals = vec![A::Semi::zero(); n * n];
         let mut pays = vec![A::empty_payload(); n * n];
         for ((bi, bj), ab) in records {
@@ -135,9 +153,11 @@ impl<A: PathAlgebra> AlgRun<A> {
                         vals[gi * n + gj] = ab.dist().get(i, j);
                         let p = ab.via().get(i, j);
                         pays[gi * n + gj] = p;
-                        pays[gj * n + gi] = p; // undirected mirror
-                        if bi != bj {
-                            vals[gj * n + gi] = ab.dist().get(i, j);
+                        if mirror {
+                            pays[gj * n + gi] = p;
+                            if bi != bj {
+                                vals[gj * n + gi] = ab.dist().get(i, j);
+                            }
                         }
                     }
                 }
@@ -147,25 +167,39 @@ impl<A: PathAlgebra> AlgRun<A> {
     }
 }
 
+/// What [`begin`] hands a loop: `(b, q, partitioner, initial records)`.
+type Begun<A> = (
+    usize,
+    usize,
+    Arc<dyn Partitioner<BlockKey>>,
+    Rdd<AlgRecord<A>>,
+);
+
 /// Shared prologue: geometry, partitioner, and the blocked decomposition
-/// of a symmetric element accessor into upper-triangular records.
+/// of an element accessor into the records `grid` stores (the accessor
+/// must be symmetric for [`Grid::UpperTriangle`]).
 fn begin<A: PathAlgebra>(
     ctx: &SparkContext,
     n: usize,
     get: &dyn Fn(usize, usize) -> Elem<A>,
     cfg: &SolverConfig,
-) -> (
-    usize,
-    usize,
-    Arc<dyn Partitioner<BlockKey>>,
-    Rdd<AlgRecord<A>>,
-) {
+    grid: Grid,
+) -> Result<Begun<A>, ApspError> {
+    if grid == Grid::Full && cfg.checkpoint.is_some() {
+        return Err(ApspError::InvalidConfig(
+            "checkpoint/resume is not supported on directed solves: the checkpoint format \
+             covers the upper-triangle grid of the undirected engine solvers (cb, im, fw2d, rs)"
+                .into(),
+        ));
+    }
     let b = cfg.block_size;
     let q = n.div_ceil(b);
     let partitioner = cfg.partitioner.build(q, cfg.partitions_for(ctx));
-    let mut records = Vec::with_capacity(q * (q + 1) / 2);
+    // First stored column-block of row-block `bi`.
+    let first_col = |bi| if grid == Grid::Full { 0 } else { bi };
+    let mut records = Vec::with_capacity((0..q).map(|bi| q - first_col(bi)).sum());
     for bi in 0..q {
-        for bj in bi..q {
+        for bj in first_col(bi)..q {
             let dist = ElemBlock::from_fn(b, |i, j| {
                 let (gi, gj) = (bi * b + i, bj * b + j);
                 if gi < n && gj < n {
@@ -180,7 +214,7 @@ fn begin<A: PathAlgebra>(
         }
     }
     let rdd = ctx.parallelize_by(records, partitioner.clone());
-    (b, q, partitioner, rdd)
+    Ok((b, q, partitioner, rdd))
 }
 
 // ---------------------------------------------------------------------------
@@ -195,8 +229,10 @@ fn cb_col_key(iter: usize, t: usize) -> String {
     format!("cb:{iter}:col:{t}")
 }
 
-/// Pre-transposed copy of the staged column block (`C_Tᵀ = A_iT`), staged
-/// once so Phase 3 targets don't each re-transpose their Right operand.
+/// The staged pivot-row block `A_iT`, Phase 3's Right operand. On the
+/// triangle it is the pre-transposed copy of the column block (`C_Tᵀ`),
+/// staged once so targets don't each re-transpose; on the full grid it is
+/// a stored block in its own right.
 fn cb_col_t_key(iter: usize, t: usize) -> String {
     format!("cb:{iter}:colT:{t}")
 }
@@ -209,11 +245,12 @@ pub(crate) fn solve_cb<A: PathAlgebra>(
     n: usize,
     get: &dyn Fn(usize, usize) -> Elem<A>,
     cfg: &SolverConfig,
+    grid: Grid,
 ) -> Result<AlgRun<A>, ApspError>
 where
     ElemBlock<A::Semi>: Stageable,
 {
-    let (b, q, partitioner, initial) = begin::<A>(ctx, n, get, cfg);
+    let (b, q, partitioner, initial) = begin::<A>(ctx, n, get, cfg, grid)?;
     let (ckpt, resumed) = Checkpointer::<A>::prepare(ctx, cfg, "cb", n, b, q, q)?;
     let (first_round, mut a): (usize, Rdd<AlgRecord<A>>) = match resumed {
         Some((round, records)) => (
@@ -248,7 +285,8 @@ where
         )?;
 
         // Phase 2: update the pivot cross against the staged diagonal
-        // (line 5), collect and stage both orientations (lines 6–7).
+        // (line 5), collect and stage the pivot column `A_Ti` and pivot
+        // row `A_iT` of every `T` (lines 6–7).
         let side = ctx.clone();
         let rowcol = a
             .filter(move |(key, _)| in_column(key, i) && !on_diagonal(key, i))
@@ -266,19 +304,24 @@ where
             })
             .persist();
         for (key, ab) in rowcol.collect()? {
-            // Stage in canonical orientation C_T = A_Ti, plus the
-            // transpose (A_iT) so Phase 3 reads both orientations without
-            // per-target transposition; payloads stay on the stored
-            // records (the collected copy is ours to consume).
+            // Payloads stay on the stored records (the collected copy is
+            // ours to consume). The triangle stores one of `A_Ti` / `A_iT`
+            // and stages its transpose as the other, so Phase 3 reads both
+            // orientations without per-target transposition; the full
+            // grid stores both, and each is staged as it is.
             let (dist, _) = ab.into_parts();
-            let transposed = dist.transpose();
-            let (t, canonical_block, transposed_block) = if key.1 == i {
-                (key.0, dist, transposed)
+            let mirror = (grid == Grid::UpperTriangle).then(|| dist.transpose());
+            let (t, col, row) = if key.1 == i {
+                (key.0, Some(dist), mirror)
             } else {
-                (key.1, transposed, dist)
+                (key.1, mirror, Some(dist))
             };
-            Stageable::stage(ctx.side_channel(), cb_col_t_key(i, t), transposed_block)?;
-            Stageable::stage(ctx.side_channel(), cb_col_key(i, t), canonical_block)?;
+            if let Some(blk) = row {
+                Stageable::stage(ctx.side_channel(), cb_col_t_key(i, t), blk)?;
+            }
+            if let Some(blk) = col {
+                Stageable::stage(ctx.side_channel(), cb_col_key(i, t), blk)?;
+            }
         }
 
         // Phase 3: fold the staged column products into every remaining
@@ -318,6 +361,7 @@ where
         n,
         b,
         q,
+        grid,
         rdd: a,
         iterations: q as u64,
     })
@@ -336,7 +380,7 @@ pub(crate) fn solve_im<A: PathAlgebra>(
     get: &dyn Fn(usize, usize) -> Elem<A>,
     cfg: &SolverConfig,
 ) -> Result<AlgRun<A>, ApspError> {
-    let (b, q, partitioner, initial) = begin::<A>(ctx, n, get, cfg);
+    let (b, q, partitioner, initial) = begin::<A>(ctx, n, get, cfg, Grid::UpperTriangle)?;
     let (ckpt, resumed) = Checkpointer::<A>::prepare(ctx, cfg, "im", n, b, q, q)?;
     let (first_round, mut a): (usize, Rdd<AlgRecord<A>>) = match resumed {
         Some((round, records)) => (
@@ -431,6 +475,7 @@ pub(crate) fn solve_im<A: PathAlgebra>(
         n,
         b,
         q,
+        grid: Grid::UpperTriangle,
         rdd: a,
         iterations: q as u64,
     })
@@ -440,19 +485,21 @@ pub(crate) fn solve_im<A: PathAlgebra>(
 // 2D Floyd-Warshall (Algorithm 2)
 // ---------------------------------------------------------------------------
 
-/// Algorithm 2 over any path algebra: the broadcast pivot column stays a
-/// plain element vector; every block applies the rank-1 update, recording
-/// the (single, global) pivot as the payload.
+/// Algorithm 2 over any path algebra: the broadcast pivot column (and, on
+/// the full grid, pivot row) stays a plain element vector; every block
+/// applies the rank-1 update, recording the (single, global) pivot as the
+/// payload.
 pub(crate) fn solve_fw2d<A: PathAlgebra>(
     ctx: &SparkContext,
     n: usize,
     get: &dyn Fn(usize, usize) -> Elem<A>,
     cfg: &SolverConfig,
+    grid: Grid,
 ) -> Result<AlgRun<A>, ApspError>
 where
     Elem<A>: EstimateSize,
 {
-    let (b, q, partitioner, initial) = begin::<A>(ctx, n, get, cfg);
+    let (b, q, partitioner, initial) = begin::<A>(ctx, n, get, cfg, grid)?;
     let (ckpt, resumed) = Checkpointer::<A>::prepare(ctx, cfg, "fw2d", n, b, q, n)?;
     let (first_round, mut a): (usize, Rdd<AlgRecord<A>>) = match resumed {
         Some((round, records)) => (
@@ -462,31 +509,51 @@ where
         None => (0, initial.persist()),
     };
     let mut prev: Option<Rdd<AlgRecord<A>>> = None;
+    // The broadcast vector holds the pivot column `d(·, k)` in its first
+    // `q` segments and the pivot row `d(k, ·)` from segment `row_at`: on
+    // the triangle the row *is* the column (symmetry), on the full grid
+    // it follows it.
+    let row_at = match grid {
+        Grid::UpperTriangle => 0,
+        Grid::Full => q,
+    };
 
     for k in first_round..n {
         let pivot_block = k / b;
         let k_local = k % b;
 
-        // Extract and collect the pivot column (lines 2–6 of Alg. 2).
+        // Extract and collect the pivot vectors (lines 2–6 of Alg. 2).
         let segments = a
             .filter(move |(key, _)| in_column(key, pivot_block))
-            .flat_map(move |(key, ab)| extract_col_parts(&key, ab.dist(), pivot_block, k_local))
+            .flat_map(move |(key, ab)| match grid {
+                Grid::UpperTriangle => extract_col_parts(&key, ab.dist(), pivot_block, k_local),
+                Grid::Full => {
+                    let mut out = Vec::with_capacity(2);
+                    if key.1 == pivot_block {
+                        out.push((key.0, ab.dist().extract_col(k_local)));
+                    }
+                    if key.0 == pivot_block {
+                        out.push((row_at + key.1, ab.dist().extract_row(k_local)));
+                    }
+                    out
+                }
+            })
             .collect()?;
-        let mut column = vec![A::Semi::zero(); q * b];
-        for (row_block, values) in segments {
-            column[row_block * b..row_block * b + b].copy_from_slice(&values);
+        let mut pivot = vec![A::Semi::zero(); (row_at + q) * b];
+        for (segment, values) in segments {
+            pivot[segment * b..segment * b + b].copy_from_slice(&values);
         }
         // Broadcast to the executors (line 8).
-        let bcast = ctx.broadcast(column);
+        let bcast = ctx.broadcast(pivot);
 
-        // Rank-1 update on every block (line 10), exploiting symmetry:
-        // column[x] = d(x, k) = d(k, x).
-        let col = bcast.clone();
+        // Rank-1 update on every block (line 10):
+        // A_ij ⊕= d(i, k) ⊗ d(k, j).
+        let piv = bcast.clone();
         let next = a
             .map(move |((i, j), mut ab)| {
-                let col_i = &col.value()[i * b..i * b + b];
-                let col_j = &col.value()[j * b..j * b + b];
-                ab.fw_update_outer(col_i, col_j, k);
+                let col_i = &piv.value()[i * b..i * b + b];
+                let row_j = &piv.value()[(row_at + j) * b..(row_at + j) * b + b];
+                ab.fw_update_outer(col_i, row_j, k);
                 ((i, j), ab)
             })
             .persist();
@@ -505,6 +572,7 @@ where
         n,
         b,
         q,
+        grid,
         rdd: a,
         iterations: n as u64,
     })
@@ -534,7 +602,7 @@ pub(crate) fn solve_rs<A: PathAlgebra>(
 where
     ElemBlock<A::Semi>: Stageable,
 {
-    let (b, q, partitioner, initial) = begin::<A>(ctx, n, get, cfg);
+    let (b, q, partitioner, initial) = begin::<A>(ctx, n, get, cfg, Grid::UpperTriangle)?;
     let kern = cfg.kernel;
 
     // ⌈log₂ n⌉ squarings close paths of any hop count (diagonal identity
@@ -646,47 +714,73 @@ where
         n,
         b,
         q,
+        grid: Grid::UpperTriangle,
         rdd: a,
         iterations: sweeps_done,
     })
 }
 
 // ---------------------------------------------------------------------------
-// Tracked front-end plumbing
+// Dense tropical front-end plumbing
 // ---------------------------------------------------------------------------
 
-/// Runs a generic solver loop under the [`TrackedTropical`] algebra and
-/// assembles the `ApspResult` with its parent matrix — the shared
-/// `with_paths` epilogue of the four solver front-ends.
-pub(crate) fn solve_tracked(
+/// A generic solver loop as the dense front-ends call it: `solve_cb` /
+/// `solve_fw2d` as they are, the triangle-only loops behind a closure that
+/// drops the grid.
+pub(crate) type DenseRun<A> = fn(
+    &SparkContext,
+    usize,
+    &dyn Fn(usize, usize) -> f64,
+    &SolverConfig,
+    Grid,
+) -> Result<AlgRun<A>, ApspError>;
+
+/// Runs a generic solver loop over a dense adjacency matrix and assembles
+/// the `ApspResult` (without parents) plus the collected payloads — the
+/// shared prologue/epilogue of the tracked and the directed front-ends.
+/// `grid` picks both the input contract (symmetric for the triangle, merely
+/// non-negative for the full grid) and what `run` stores.
+pub(crate) fn solve_dense<A: PathAlgebra<Semi = TropicalF64>>(
     ctx: &SparkContext,
-    adjacency: &apsp_blockmat::Matrix,
+    adjacency: &Matrix,
     cfg: &SolverConfig,
-    run: impl FnOnce(
-        &SparkContext,
-        usize,
-        &dyn Fn(usize, usize) -> f64,
-        &SolverConfig,
-    ) -> Result<AlgRun<TrackedTropical>, ApspError>,
-) -> Result<crate::solver::ApspResult, ApspError> {
-    use crate::solver::{validate_adjacency, ApspResult};
+    grid: Grid,
+    run: DenseRun<A>,
+) -> Result<(ApspResult, Vec<A::Payload>), ApspError> {
     let n = adjacency.order();
     cfg.check(n)?;
     if cfg.validate_input {
-        validate_adjacency(adjacency)?;
+        match grid {
+            Grid::UpperTriangle => apsp_graph::validate_adjacency(adjacency),
+            Grid::Full => apsp_graph::validate_directed_adjacency(adjacency),
+        }
+        .map_err(ApspError::InvalidInput)?;
     }
     let start = std::time::Instant::now();
     let metrics_before = ctx.metrics();
-    let out = run(ctx, n, &|i, j| adjacency.get(i, j), cfg)?;
-    let (vals, vias) = out.collect_dense()?;
+    let out = run(ctx, n, &|i, j| adjacency.get(i, j), cfg, grid)?;
+    let (vals, pays) = out.collect_dense()?;
     let metrics = ctx.metrics().delta(&metrics_before);
-    Ok(ApspResult::new(
-        apsp_blockmat::Matrix::from_vec(n, vals),
+    let result = ApspResult::new(
+        Matrix::from_vec(n, vals),
         metrics,
         start.elapsed(),
         out.iterations,
-    )
-    .with_parents(apsp_graph::paths::ParentMatrix::from_vias(n, vias)))
+    );
+    Ok((result, pays))
+}
+
+/// [`solve_dense`] under the [`TrackedTropical`] algebra, with the parent
+/// matrix attached — the shared `with_paths` front-end.
+pub(crate) fn solve_tracked(
+    ctx: &SparkContext,
+    adjacency: &Matrix,
+    cfg: &SolverConfig,
+    grid: Grid,
+    run: DenseRun<TrackedTropical>,
+) -> Result<ApspResult, ApspError> {
+    let (result, vias) = solve_dense(ctx, adjacency, cfg, grid, run)?;
+    Ok(result.with_parents(ParentMatrix::from_vias(adjacency.order(), vias)))
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Algorithm 2: 2D-decomposed Floyd-Warshall (the "pure" solver).
 
-use crate::engine::{self, AlgRun};
+use crate::engine::{self, AlgRun, Grid};
 use crate::solver::{validate_adjacency, ApspError, ApspResult, ApspSolver, SolverConfig};
 use apsp_blockmat::{Matrix, TrackedTropical, Tropical};
 use sparklet::SparkContext;
@@ -42,6 +42,7 @@ impl ApspSolver for FloydWarshall2D {
                 ctx,
                 adjacency,
                 cfg,
+                Grid::UpperTriangle,
                 engine::solve_fw2d::<TrackedTropical>,
             );
         }
@@ -53,7 +54,13 @@ impl ApspSolver for FloydWarshall2D {
         let start = Instant::now();
         let metrics_before = ctx.metrics();
 
-        let run: AlgRun<Tropical> = engine::solve_fw2d(ctx, n, &|i, j| adjacency.get(i, j), cfg)?;
+        let run: AlgRun<Tropical> = engine::solve_fw2d(
+            ctx,
+            n,
+            &|i, j| adjacency.get(i, j),
+            cfg,
+            Grid::UpperTriangle,
+        )?;
         let (vals, _) = run.collect_dense()?;
 
         let metrics = ctx.metrics().delta(&metrics_before);

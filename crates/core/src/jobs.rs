@@ -30,20 +30,13 @@ use std::sync::Arc;
 
 /// Maps the CLI/JSON solver short names (`cb`, `im`, `fw2d`, …) to
 /// [`SolverId`]s. One table for the `apspark solve` flag, the `POST
-/// /solve` body, and anything else that names solvers in text.
+/// /solve` body, and anything else that names solvers in text: the
+/// closure store's on-disk tags, plus the `sparse` alias.
 pub fn solver_by_name(name: &str) -> Option<SolverId> {
-    Some(match name {
-        "cb" => SolverId::BlockedCollectBroadcast,
-        "im" => SolverId::BlockedInMemory,
-        "fw2d" => SolverId::FloydWarshall2D,
-        "rs" => SolverId::RepeatedSquaring,
-        "cartesian" => SolverId::CartesianSquaring,
-        "johnson" => SolverId::DistributedJohnson,
-        "mpi-fw2d" => SolverId::MpiFw2d,
-        "mpi-dc" => SolverId::MpiDc,
-        "hierarchical" | "sparse" => SolverId::SparseHierarchical,
-        _ => return None,
-    })
+    match name {
+        "sparse" => Some(SolverId::SparseHierarchical),
+        tag => crate::store::solver_from_tag(tag),
+    }
 }
 
 /// Maps workload labels (`shortest-paths`, `widest-paths`,
@@ -204,21 +197,12 @@ impl JobSpec {
         })
     }
 
-    /// Whether this job can carry a round-granular checkpoint spec:
-    /// the engine-backed undirected solvers support them (and so does
-    /// the planner's default choice), the MPI baselines, directed
-    /// variants, and the lazy hierarchical path do not.
+    /// Whether this job can carry a round-granular checkpoint spec: the
+    /// planner's default choice and any preferred solver with the
+    /// `checkpoints` capability can, on undirected input (directed
+    /// inputs run on the full grid, which has no checkpoint format).
     fn checkpointable(&self) -> bool {
-        !self.directed
-            && matches!(
-                self.solver,
-                None | Some(
-                    SolverId::BlockedCollectBroadcast
-                        | SolverId::BlockedInMemory
-                        | SolverId::FloydWarshall2D
-                        | SolverId::RepeatedSquaring
-                )
-            )
+        !self.directed && self.solver.is_none_or(|s| s.capabilities().checkpoints)
     }
 }
 
@@ -759,10 +743,16 @@ mod tests {
             ("johnson", SolverId::DistributedJohnson),
             ("mpi-fw2d", SolverId::MpiFw2d),
             ("mpi-dc", SolverId::MpiDc),
+            ("directed-cb", SolverId::DirectedBlockedCB),
+            ("directed-fw2d", SolverId::DirectedFloydWarshall2D),
             ("hierarchical", SolverId::SparseHierarchical),
             ("sparse", SolverId::SparseHierarchical),
         ] {
             assert_eq!(solver_by_name(name), Some(id));
+        }
+        // One table: every solver is spellable by its store tag.
+        for id in SolverId::ALL {
+            assert_eq!(solver_by_name(crate::store::solver_tag(id)), Some(id));
         }
         assert_eq!(solver_by_name("quantum"), None);
         for (name, w) in [

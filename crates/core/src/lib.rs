@@ -69,7 +69,7 @@ pub use blocked_im::BlockedInMemory;
 pub use blocks::{canonical, oriented, BlockKey, BlockRecord, BlockedMatrix, PartitionerChoice};
 pub use cartesian_rs::CartesianSquaring;
 pub use checkpoint::{CheckpointPolicy, CheckpointSignal, CheckpointSpec};
-pub use directed::{DirectedBlockedCB, DirectedFloydWarshall2D, FullBlockedMatrix};
+pub use directed::{DirectedBlockedCB, DirectedFloydWarshall2D};
 pub use fw2d::FloydWarshall2D;
 pub use hierarchy::{HierarchicalClosure, HierarchyConfig, HierarchyStats};
 pub use jobs::{

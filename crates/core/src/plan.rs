@@ -147,6 +147,9 @@ pub struct SolverCaps {
     /// [`AlgebraSolver`] engine behind [`Workload::Widest`] and
     /// [`Workload::Reachability`]).
     pub algebras: bool,
+    /// Honors a round-granular [`CheckpointSpec`] (checkpoint and resume):
+    /// the four engine solvers on the upper-triangle grid.
+    pub checkpoints: bool,
     /// The cluster-model solver this maps onto for feasibility and cost
     /// projections; `None` for solvers outside the paper's model.
     pub model: Option<SolverKind>,
@@ -178,6 +181,7 @@ impl SolverId {
                 undirected: true,
                 paths: true,
                 algebras: true,
+                checkpoints: true,
                 model: Some(SolverKind::BlockedCollectBroadcast),
             },
             SolverId::BlockedInMemory => SolverCaps {
@@ -187,6 +191,7 @@ impl SolverId {
                 undirected: true,
                 paths: true,
                 algebras: true,
+                checkpoints: true,
                 model: Some(SolverKind::BlockedInMemory),
             },
             SolverId::FloydWarshall2D => SolverCaps {
@@ -196,6 +201,7 @@ impl SolverId {
                 undirected: true,
                 paths: true,
                 algebras: true,
+                checkpoints: true,
                 model: Some(SolverKind::FloydWarshall2D),
             },
             SolverId::RepeatedSquaring => SolverCaps {
@@ -205,6 +211,7 @@ impl SolverId {
                 undirected: true,
                 paths: true,
                 algebras: true,
+                checkpoints: true,
                 model: Some(SolverKind::RepeatedSquaring),
             },
             SolverId::CartesianSquaring => SolverCaps {
@@ -214,6 +221,7 @@ impl SolverId {
                 undirected: true,
                 paths: false,
                 algebras: false,
+                checkpoints: false,
                 model: None,
             },
             SolverId::DistributedJohnson => SolverCaps {
@@ -223,6 +231,7 @@ impl SolverId {
                 undirected: true,
                 paths: false,
                 algebras: false,
+                checkpoints: false,
                 model: None,
             },
             SolverId::MpiFw2d => SolverCaps {
@@ -232,6 +241,7 @@ impl SolverId {
                 undirected: true,
                 paths: true,
                 algebras: false,
+                checkpoints: false,
                 model: Some(SolverKind::MpiFw2d),
             },
             SolverId::MpiDc => SolverCaps {
@@ -241,6 +251,7 @@ impl SolverId {
                 undirected: true,
                 paths: true,
                 algebras: false,
+                checkpoints: false,
                 model: Some(SolverKind::MpiDc),
             },
             SolverId::DirectedBlockedCB => SolverCaps {
@@ -248,8 +259,9 @@ impl SolverId {
                 name: "Directed Blocked-CB",
                 directed: true,
                 undirected: true,
-                paths: false, // staged cross pieces lack per-orientation parents
+                paths: false, // tracked full-grid CB is not validated yet (see its rustdoc)
                 algebras: false,
+                checkpoints: false,
                 model: Some(SolverKind::BlockedCollectBroadcast),
             },
             SolverId::DirectedFloydWarshall2D => SolverCaps {
@@ -259,6 +271,7 @@ impl SolverId {
                 undirected: true,
                 paths: true,
                 algebras: false,
+                checkpoints: false,
                 model: Some(SolverKind::FloydWarshall2D),
             },
             SolverId::SparseHierarchical => SolverCaps {
@@ -268,7 +281,8 @@ impl SolverId {
                 undirected: true,
                 paths: true,
                 algebras: false, // tropical-only: the stitch rule is (min, +)
-                model: None,     // outside the paper's dense cluster model
+                checkpoints: false,
+                model: None, // outside the paper's dense cluster model
             },
         }
     }
@@ -534,13 +548,20 @@ impl<'a> Problem<'a> {
         });
 
         if directed && !solver.capabilities().directed {
+            // Directedness is a storage axis of the engine, not another
+            // algorithm: FW-2D stays FW-2D; everything else gets the
+            // paper's winner.
             let from = solver;
-            solver = SolverId::DirectedBlockedCB;
+            solver = if from == SolverId::FloydWarshall2D {
+                SolverId::DirectedFloydWarshall2D
+            } else {
+                SolverId::DirectedBlockedCB
+            };
             notes.push(PlanNote::new(
                 "directed-input",
                 format!(
-                    "{} stores only the upper block triangle (undirected); \
-                     switching to {} for the asymmetric input",
+                    "{} assumes a symmetric input; the asymmetric input runs on the \
+                     full grid as {}",
                     from.name(),
                     solver.name()
                 ),
@@ -550,8 +571,8 @@ impl<'a> Problem<'a> {
         if self.workload != Workload::ShortestPaths {
             if directed {
                 return Err(ApspError::InvalidConfig(format!(
-                    "the {} workload runs on the generic path-algebra engine, which stores \
-                     only the upper block triangle and so requires an undirected input; \
+                    "the {} workload runs the generic path-algebra engine on its \
+                     upper-triangle grid and so requires an undirected input; \
                      directed instances currently support shortest paths only",
                     self.workload.label()
                 )));
@@ -749,7 +770,7 @@ impl<'a> Problem<'a> {
             }
         }
 
-        Ok(Plan {
+        let plan = Plan {
             solver,
             block_size: b,
             kernel: self.kernel,
@@ -765,7 +786,9 @@ impl<'a> Problem<'a> {
             store: self.store.clone(),
             notes,
             projection,
-        })
+        };
+        plan.check_checkpointable()?;
+        Ok(plan)
     }
 
     fn project(
@@ -803,6 +826,8 @@ impl<'a> Problem<'a> {
     /// ([`Plan::solver_config`] plus the selected solver's public
     /// `solve`), so results are bit-exact with explicit calls.
     pub fn execute(&self, ctx: &SparkContext, plan: Plan) -> Result<Solution, ApspError> {
+        // Again: `Plan::with_checkpoints` / `Plan::resume` attach after planning.
+        plan.check_checkpointable()?;
         let start = Instant::now();
         let store_dir = plan.store.clone();
         let sol = match plan.workload {
@@ -1258,6 +1283,21 @@ impl Plan {
             cfg = cfg.with_checkpoints(spec.clone());
         }
         cfg
+    }
+
+    /// A checkpoint/resume spec on a solver that cannot honor it is an
+    /// error, never a silent no-op: the caller believes the solve is
+    /// protected (or resumed) when it is not.
+    fn check_checkpointable(&self) -> Result<(), ApspError> {
+        if self.checkpoint.is_some() && !self.solver.capabilities().checkpoints {
+            return Err(ApspError::InvalidConfig(format!(
+                "{} cannot checkpoint or resume: round-granular checkpoints cover the engine \
+                 solvers on undirected input (cb, im, fw2d, rs); drop the checkpoint/resume \
+                 spec or prefer one of those",
+                self.solver.name()
+            )));
+        }
+        Ok(())
     }
 
     /// Attaches (or replaces) a checkpoint/resume spec on an existing

@@ -1,6 +1,6 @@
 //! Algorithm 1: repeated squaring with column-block sweeps.
 
-use crate::engine::{self, AlgRun};
+use crate::engine::{self, AlgRun, Grid};
 use crate::solver::{validate_adjacency, ApspError, ApspResult, ApspSolver, SolverConfig};
 use apsp_blockmat::{Matrix, TrackedTropical, Tropical};
 use sparklet::SparkContext;
@@ -43,7 +43,13 @@ impl ApspSolver for RepeatedSquaring {
         cfg: &SolverConfig,
     ) -> Result<ApspResult, ApspError> {
         if cfg.track_paths {
-            return engine::solve_tracked(ctx, adjacency, cfg, engine::solve_rs::<TrackedTropical>);
+            return engine::solve_tracked(
+                ctx,
+                adjacency,
+                cfg,
+                Grid::UpperTriangle,
+                |c, n, w, cfg, _| engine::solve_rs::<TrackedTropical>(c, n, w, cfg),
+            );
         }
         let n = adjacency.order();
         cfg.check(n)?;

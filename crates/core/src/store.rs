@@ -75,8 +75,9 @@ fn frame_err(what: &str, name: &str, e: DecodeError) -> ApspError {
 // Solver and workload tags
 // ---------------------------------------------------------------------------
 
-/// Stable on-disk tag for a solver identity (matches the CLI names and
-/// the checkpoint manifests' solver field for the engine solvers).
+/// Stable on-disk tag for a solver identity. The CLI / `POST /solve`
+/// names are these tags ([`crate::jobs::solver_by_name`]), and the engine
+/// solvers stamp the same strings into their checkpoint manifests.
 pub(crate) fn solver_tag(id: SolverId) -> &'static str {
     match id {
         SolverId::BlockedCollectBroadcast => "cb",

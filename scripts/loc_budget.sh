@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# LoC budget guard: the solver-clone duplication that PR 4 deleted and the
-# kernel-engine twin that PR 15 deleted must not silently grow back.
+# LoC budget guard: the solver-clone duplication that PR 4 deleted, the
+# kernel-engine twin that PR 15 deleted and the full-grid directed loops
+# that PR 22 deleted must not silently grow back.
 #
 # PR 3 carried four hand-cloned path-tracking solvers in
 # crates/core/src/tracked.rs (745 lines). PR 4 collapsed them into the
@@ -46,5 +47,16 @@ check_budget crates/core/src/tracked.rs 100 \
 # the row loop / packed micro-kernel / closure would push it back over.
 check_budget crates/blockmat/src/kernels.rs 1400 \
     "the f64 kernels are one engine generic over S: Semiring<Elem = f64>; monomorphise it for a new algebra instead of copying it"
+
+# The directed solvers: PR 22 made directedness a storage axis
+# (`Grid::{UpperTriangle, Full}`) of the generic Blocked-CB and FW-2D
+# loops and deleted directed.rs's hand-cloned copies of them (542 -> 320
+# lines: two thin front-ends plus the directed oracle tests). A round
+# loop reappearing in directed.rs, or a per-grid copy of a loop in
+# engine.rs, would push one of them back over.
+check_budget crates/core/src/directed.rs 320 \
+    "directed is \`Grid::Full\` of the generic loops; do not re-clone them"
+check_budget crates/core/src/engine.rs 930 \
+    "directed is \`Grid::Full\` of the generic loops; do not re-clone them"
 
 exit "$status"

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! apspark generate --n 256 [--directed] [--seed S] --output graph.txt
-//! apspark solve    --input graph.txt [--directed] [--solver cb|im|fw2d|rs|cartesian|johnson|mpi-fw2d|mpi-dc|hierarchical]
+//! apspark solve    --input graph.txt [--directed] [--solver cb|im|fw2d|rs|cartesian|johnson|mpi-fw2d|mpi-dc|hierarchical|directed-cb|directed-fw2d]
 //!                  [--auto] [--path SRC DST] [--store DIR] [--block-size B] [--cores C] [--output dists.txt]
 //! apspark query    --store DIR [--dist U V | --path U V | --k-nearest U K | --submatrix R0 R1 C0 C1]
 //!                  [--cache-mb M] [--stats]
@@ -73,7 +73,8 @@ fn main() -> ExitCode {
                  finalize --checkpoint-dir DIR --store DIR\n\
                  project  --n N [--cores P] [--solver NAME] [--block-size B]\n\n\
                  solvers: cb (default), im, fw2d, rs, cartesian, johnson, mpi-fw2d, mpi-dc,\n          \
-                 hierarchical (alias: sparse; planner-only, for sparse road-like graphs)\n\n\
+                 hierarchical (alias: sparse; planner-only, for sparse road-like graphs),\n          \
+                 directed-cb, directed-fw2d (planner-only; what --directed turns cb / fw2d into)\n\n\
                  --auto        let the query planner pick the solver and block size\n               \
                  (prints the Plan::explain() report; --solver becomes a preference)\n\
                  --path SRC DST  track witness paths and print the reconstructed\n               \
@@ -324,7 +325,14 @@ fn cmd_solve_planned(flags: &HashMap<String, String>) -> Result<(), String> {
         }
     }
     if flags.contains_key("output") {
-        let distances = sol.distances().expect("shortest-paths solution");
+        let distances = sol.distances().ok_or_else(|| {
+            format!(
+                "--output needs the dense distance matrix, which {} never materializes \
+                 (it serves distances lazily per query); add --solver cb to write the matrix, \
+                 or query this plan with --path SRC DST",
+                sol.plan.solver.name()
+            )
+        })?;
         write_distances(distances, flags.get("output"))?;
     }
     Ok(())
@@ -333,11 +341,16 @@ fn cmd_solve_planned(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_solve(flags: &HashMap<String, String>) -> Result<(), String> {
     let solver_name = flags.get("solver").map(String::as_str).unwrap_or("cb");
     // The hierarchical solver partitions the edge list and serves point
-    // queries lazily — it only runs through the planner.
+    // queries lazily — it only runs through the planner. So do the
+    // directed solvers when named outright (this route's `--directed`
+    // spelling below stays `--solver cb`).
     if flags.contains_key("auto")
         || flags.contains_key("path-src")
         || flags.contains_key("store")
-        || matches!(solver_name, "hierarchical" | "sparse")
+        || matches!(
+            solver_name,
+            "hierarchical" | "sparse" | "directed-cb" | "directed-fw2d"
+        )
     {
         return cmd_solve_planned(flags);
     }
@@ -357,11 +370,16 @@ fn cmd_solve(flags: &HashMap<String, String>) -> Result<(), String> {
     let b = get_usize(flags, "block-size")?
         .unwrap_or_else(|| tuner::suggest_block_size(n, cores, 2).min(n));
     let ckpt = checkpoint_spec(flags)?;
-    if ckpt.is_some() && (directed || !matches!(solver_name, "cb" | "im" | "fw2d" | "rs")) {
+    let id = if directed {
+        SolverId::DirectedBlockedCB
+    } else {
+        solver_id(solver_name)?
+    };
+    if ckpt.is_some() && !id.capabilities().checkpoints {
         return Err(format!(
             "--checkpoint-dir supports the engine-backed undirected solvers \
-             (cb, im, fw2d, rs), not '{solver_name}'{}",
-            if directed { " with --directed" } else { "" }
+             (cb, im, fw2d, rs), not {}",
+            id.name()
         ));
     }
     println!("solving n = {n} with {solver_name}, b = {b}, {cores} cores");

@@ -295,6 +295,82 @@ fn auto_solve_handles_directed_inputs() {
     let _ = std::fs::remove_file(graph);
 }
 
+/// `--solver fw2d` on a digraph keeps the algorithm (it used to be
+/// swapped for Directed Blocked-CB), and a checkpoint spec the planned
+/// solver cannot honor is an error — it used to exit 0 with the
+/// directory never created.
+#[test]
+fn auto_directed_keeps_fw2d_and_rejects_dropped_checkpoints() {
+    let graph = temp("auto-dir-fw2d.txt");
+    let ckpt = temp("auto-dir-ckpt");
+    let out = bin()
+        .args(["generate", "--n", "32", "--directed", "--output"])
+        .arg(&graph)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    for solver in ["fw2d", "directed-fw2d"] {
+        let out = bin()
+            .args(["solve", "--auto", "--directed", "--cores", "2", "--solver"])
+            .arg(solver)
+            .arg("--input")
+            .arg(&graph)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("Directed 2D Floyd-Warshall"), "{text}");
+    }
+
+    for extra in [
+        &["--directed"][..],
+        &["--solver", "johnson"],
+        &["--directed", "--resume"],
+    ] {
+        let out = bin()
+            .args(["solve", "--auto", "--cores", "2", "--input"])
+            .arg(&graph)
+            .args(extra)
+            .arg("--checkpoint-dir")
+            .arg(&ckpt)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{extra:?} must not report success");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("cannot checkpoint or resume"), "{err}");
+        assert!(!ckpt.exists(), "{extra:?}: nothing may be written");
+    }
+    let _ = std::fs::remove_file(graph);
+}
+
+/// A road-like graph with n >= 1024 is auto-routed to the hierarchical
+/// solver, which has no dense matrix: `--output` used to panic there
+/// (exit 101); it is a typed error naming the fix.
+#[test]
+fn auto_output_on_a_hierarchical_plan_is_a_typed_error() {
+    let graph = temp("grid40.txt");
+    let dists = temp("grid40-d.txt");
+    let g = apspark::graph::generators::grid(40, 40);
+    apspark::graph::io::save_graph(&g, &graph).unwrap();
+    let out = bin()
+        .args(["solve", "--auto", "--cores", "2", "--input"])
+        .arg(&graph)
+        .arg("--output")
+        .arg(&dists)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "typed error, not a panic");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.starts_with("error:"), "{err}");
+    assert!(err.contains("--solver cb"), "{err}");
+    assert!(!dists.exists());
+    let _ = std::fs::remove_file(graph);
+}
+
 #[test]
 fn project_prints_feasibility() {
     let out = bin()

@@ -64,6 +64,87 @@ fn directed_paths_never_selects_directed_cb() {
     }
 }
 
+/// Directedness is a storage axis, not another algorithm: a preferred
+/// FW-2D stays FW-2D on a digraph (it used to be swapped for Blocked-CB,
+/// leaving no spelling that reached the untracked directed FW-2D), and
+/// every other triangle-only preference gets the directed winner.
+#[test]
+fn directed_input_keeps_the_preferred_algorithm() {
+    let g = generators::erdos_renyi_directed(24, 0.15, 7);
+    let sc = ctx();
+    let problem = Problem::from_digraph(&g).prefer(SolverId::FloydWarshall2D);
+    let plan = problem.plan(&sc).unwrap();
+    assert_eq!(plan.solver, SolverId::DirectedFloydWarshall2D);
+    let note = plan
+        .notes()
+        .iter()
+        .find(|n| n.rule == "directed-input")
+        .expect("the reroute must be recorded");
+    assert!(note.detail.contains("full grid"), "{}", note.detail);
+    let sol = problem.execute(&sc, plan).unwrap();
+    assert_eq!(sol.iterations, 24, "FW-2D runs n pivots, Blocked-CB q");
+    let oracle = apspark::graph::apsp_dijkstra_directed(&g);
+    assert!(sol.distances().unwrap().approx_eq(&oracle, 1e-9).is_ok());
+
+    for id in [SolverId::BlockedInMemory, SolverId::DistributedJohnson] {
+        let plan = Problem::from_digraph(&g).prefer(id).plan(&sc).unwrap();
+        assert_eq!(plan.solver, SolverId::DirectedBlockedCB, "{id:?}");
+    }
+}
+
+/// A checkpoint or resume spec on a solver that cannot honor it used to
+/// be dropped silently (nothing written, success reported; `resume` from
+/// an empty directory "resumed"). It is a typed planning error now, from
+/// the same capability column the service and the CLI consult.
+#[test]
+fn checkpoint_specs_are_rejected_where_they_would_be_dropped() {
+    let dir = std::env::temp_dir().join("apspark-plan-api-ckpt-rejected");
+    let sc = ctx();
+    let dg = generators::erdos_renyi_directed(20, 0.15, 4);
+    let g = generators::erdos_renyi_paper(20, 0.1, 4);
+    let rejected = [
+        Problem::from_digraph(&dg)
+            .checkpoint_every(&dir, 1)
+            .plan(&sc),
+        Problem::from_digraph(&dg).resume(&dir).plan(&sc),
+        Problem::new(&g)
+            .prefer(SolverId::DistributedJohnson)
+            .checkpoint_every(&dir, 1)
+            .plan(&sc),
+        Problem::new(&g)
+            .prefer(SolverId::SparseHierarchical)
+            .resume(&dir)
+            .plan(&sc),
+    ];
+    for res in rejected {
+        match res {
+            Err(apspark::core::ApspError::InvalidConfig(msg)) => {
+                assert!(msg.contains("checkpoint"), "{msg}")
+            }
+            other => panic!("expected InvalidConfig, got {:?}", other.map(|p| p.solver)),
+        }
+    }
+    // Attaching the spec after planning hits the same check at execute.
+    let problem = Problem::from_digraph(&dg);
+    let plan = problem.plan(&sc).unwrap().resume(&dir);
+    assert!(matches!(
+        problem.execute(&sc, plan),
+        Err(apspark::core::ApspError::InvalidConfig(_))
+    ));
+    assert!(!dir.exists(), "a rejected spec must not touch the disk");
+
+    for id in SolverId::ALL {
+        let expected = matches!(
+            id,
+            SolverId::BlockedCollectBroadcast
+                | SolverId::BlockedInMemory
+                | SolverId::FloydWarshall2D
+                | SolverId::RepeatedSquaring
+        );
+        assert_eq!(id.capabilities().checkpoints, expected, "{id:?}");
+    }
+}
+
 /// The paper's Table 3 move: a preferred Blocked-IM that the cluster
 /// model marks infeasible at every block size falls back to Blocked-CB.
 #[test]
