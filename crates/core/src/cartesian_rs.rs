@@ -92,6 +92,7 @@ impl ApspSolver for CartesianSquaring {
                 })
                 .persist();
             next.count()?;
+            let next = next.local_checkpoint()?;
             a.unpersist();
             a = next;
         }

@@ -343,8 +343,11 @@ where
             .partition_by(partitioner.clone())
             .persist();
         // Materialize before the staged blocks are dropped: the
-        // side-channel data is outside the lineage (impurity!).
+        // side-channel data is outside the lineage (impurity!). Then cut
+        // the lineage, so this round's shuffle output and the previous
+        // generation are freed with their handles.
         next.count()?;
+        let next = next.local_checkpoint()?;
         ctx.side_channel().remove(&cb_diag_key(i));
         for t in 0..q {
             ctx.side_channel().remove(&cb_col_key(i, t));
@@ -458,12 +461,14 @@ pub(crate) fn solve_im<A: PathAlgebra>(
             .try_map(move |(key, pieces)| Ok((key, unpack_and_update(kern, pieces, i, b, key)?)));
 
         // Reassemble and repartition (line 15) — mandatory, or the union's
-        // partition count compounds every iteration.
+        // partition count compounds every iteration. Cutting the lineage
+        // frees the copy shuffles' outputs with this round's handles.
         let next = diag_rdd
             .union_all(&[phase2.clone(), phase3])
             .partition_by(partitioner.clone())
             .persist();
         next.count()?;
+        let next = next.local_checkpoint()?;
         diag_rdd.unpersist();
         phase2.unpersist();
         a.unpersist();
@@ -508,7 +513,6 @@ where
         ),
         None => (0, initial.persist()),
     };
-    let mut prev: Option<Rdd<AlgRecord<A>>> = None;
     // The broadcast vector holds the pivot column `d(·, k)` in its first
     // `q` segments and the pivot row `d(k, ·)` from segment `row_at`: on
     // the triangle the row *is* the column (symmetry), on the full grid
@@ -539,6 +543,10 @@ where
                 }
             })
             .collect()?;
+        // The column job cached every block of `a`: cutting its lineage
+        // frees the generation before it and the broadcast its update
+        // captured.
+        a = a.local_checkpoint()?;
         let mut pivot = vec![A::Semi::zero(); (row_at + q) * b];
         for (segment, values) in segments {
             pivot[segment * b..segment * b + b].copy_from_slice(&values);
@@ -557,13 +565,6 @@ where
                 ((i, j), ab)
             })
             .persist();
-
-        // `a` was fully materialized by the column job; retire the
-        // generation before it to keep memory at ~two generations.
-        if let Some(old) = prev.take() {
-            old.unpersist();
-        }
-        prev = Some(a);
         a = next;
         ckpt.after_round(k, &a)?;
     }
@@ -698,8 +699,9 @@ where
         // Line 6: union the sweeps into the next A.
         let next = sweeps[0].union_all(&sweeps[1..]).persist();
         // Materialize *before* dropping the staged columns — the products
-        // read them lazily (impurity in action).
+        // read them lazily (impurity in action) — then cut the lineage.
         next.count()?;
+        let next = next.local_checkpoint()?;
         for j in 0..q {
             for k in 0..q {
                 ctx.side_channel().remove(&rs_col_key(step, j, k));

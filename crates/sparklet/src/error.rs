@@ -68,6 +68,16 @@ pub enum SparkError {
         /// Why the job was cancelled (who asked).
         reason: String,
     },
+    /// A partition of a lineage-truncated RDD (see
+    /// [`crate::Rdd::local_checkpoint`]) is not in memory: it was not cached
+    /// when the lineage was cut, or `unpersist` dropped it since, and there
+    /// is no lineage left to recompute it from.
+    CheckpointMissing {
+        /// RDD whose partition is missing.
+        rdd: usize,
+        /// Index of the missing partition.
+        partition: usize,
+    },
     /// Error raised by user code inside a `try_*` transformation.
     User(String),
 }
@@ -161,6 +171,11 @@ impl fmt::Display for SparkError {
                 )
             }
             SparkError::Cancelled { reason } => write!(f, "job cancelled: {reason}"),
+            SparkError::CheckpointMissing { rdd, partition } => write!(
+                f,
+                "partition {partition} of lineage-truncated rdd {rdd} is no longer cached \
+                 and cannot be recomputed"
+            ),
             SparkError::User(msg) => write!(f, "user error: {msg}"),
         }
     }

@@ -1,7 +1,7 @@
 //! The RDD abstraction: lazy, lineage-tracked, partitioned collections.
 
 use crate::context::CtxInner;
-use crate::error::SparkResult;
+use crate::error::{SparkError, SparkResult};
 use crate::shuffle::ShuffleDep;
 use crate::Data;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -389,6 +389,47 @@ impl<T: Data> Rdd<T> {
         }
     }
 
+    /// Cuts this RDD's lineage (Spark `localCheckpoint()`): moves its cached
+    /// partitions into a new node with the same id, partition count and
+    /// partitioner but no parents. Once every handle to `self` is dropped,
+    /// the DAG behind it — upstream shuffle outputs, caches, values captured
+    /// by compute closures — is freed. Iterative solvers call this at each
+    /// round barrier so memory stays bounded by one generation.
+    ///
+    /// Every partition must already be cached (persist, then run an action);
+    /// otherwise this fails with [`SparkError::CheckpointMissing`] and
+    /// `self` keeps its cache. Tasks of the new node honour injected
+    /// failures for the same id and then serve the cache; after
+    /// [`unpersist`](Rdd::unpersist) they fail with `CheckpointMissing`
+    /// instead of recomputing.
+    pub fn local_checkpoint(&self) -> SparkResult<Rdd<T>> {
+        let (id, parts) = (self.inner.id, self.inner.parts);
+        let partitioner_identity = self.partitioner_identity();
+        let mut slots: Vec<_> = self.inner.cache.iter().map(|s| s.lock()).collect();
+        if let Some(partition) = slots.iter().position(|s| s.is_none()) {
+            return Err(SparkError::CheckpointMissing { rdd: id, partition });
+        }
+        let cache = slots
+            .iter_mut()
+            .map(|s| parking_lot::Mutex::new(s.take()))
+            .collect();
+        Ok(Rdd {
+            inner: Arc::new(RddInner {
+                id,
+                ctx: self.inner.ctx.clone(),
+                parts,
+                compute: Box::new(move |partition| {
+                    Err(SparkError::CheckpointMissing { rdd: id, partition })
+                }),
+                cache,
+                use_cache: AtomicBool::new(true),
+                upstream: Vec::new(),
+                partitioner_identity: parking_lot::Mutex::new(partitioner_identity),
+                name: self.inner.name,
+            }),
+        })
+    }
+
     // ------------------------------------------------------------------
     // Actions
     // ------------------------------------------------------------------
@@ -634,6 +675,147 @@ mod tests {
         assert!((2_500..3_500).contains(&a), "sample size {a} not ~30%");
         assert_eq!(rdd.sample(0.0, 1).count().unwrap(), 0);
         assert_eq!(rdd.sample(1.0, 1).count().unwrap(), 10_000);
+    }
+
+    /// A persisted, materialized `(key, value)` RDD behind one shuffle.
+    fn shuffled(sc: &SparkContext) -> crate::Rdd<(u64, u64)> {
+        let pairs: Vec<(u64, u64)> = (0..40).map(|i| (i, i * i)).collect();
+        let rdd = sc
+            .parallelize(pairs, 3)
+            .partition_by(Arc::new(ModPartitioner::new(4)))
+            .persist();
+        rdd.count().unwrap();
+        rdd
+    }
+
+    #[test]
+    fn local_checkpoint_frees_the_lineage_behind_it() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static LIVE: AtomicUsize = AtomicUsize::new(0);
+        struct Counted(u64);
+        impl Counted {
+            fn new(v: u64) -> Self {
+                LIVE.fetch_add(1, Ordering::SeqCst);
+                Counted(v)
+            }
+        }
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                Counted::new(self.0)
+            }
+        }
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                LIVE.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        impl crate::EstimateSize for Counted {
+            fn estimate_bytes(&self) -> usize {
+                8
+            }
+        }
+
+        let sc = ctx();
+        let n = 64;
+        let mapped = sc
+            .parallelize((0..n as u64).collect(), 3)
+            .map(|x| (x, Counted::new(x)))
+            .persist();
+        let shuffled = mapped
+            .partition_by(Arc::new(ModPartitioner::new(4)))
+            .persist();
+        shuffled.count().unwrap();
+        // Upstream cache + shuffle output + the shuffled RDD's own cache.
+        assert_eq!(LIVE.load(Ordering::SeqCst), 3 * n);
+        let truncated = shuffled.local_checkpoint().unwrap();
+        drop(mapped);
+        drop(shuffled);
+        assert_eq!(LIVE.load(Ordering::SeqCst), n, "only the moved cache stays");
+        let mut keys: Vec<u64> = truncated.collect().unwrap().iter().map(|p| p.0).collect();
+        keys.sort();
+        assert_eq!(keys, (0..n as u64).collect::<Vec<_>>());
+        drop(truncated);
+        assert_eq!(LIVE.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn local_checkpoint_keeps_identity_and_partitioning() {
+        let sc = ctx();
+        let rdd = shuffled(&sc);
+        let cp = rdd.local_checkpoint().unwrap();
+        assert_eq!(cp.id(), rdd.id());
+        assert_eq!(cp.num_partitions(), rdd.num_partitions());
+        assert_eq!(cp.partitioner_identity(), rdd.partitioner_identity());
+        assert!(cp.inner.upstream.is_empty());
+        let before = sc.metrics();
+        let again = cp.partition_by(Arc::new(ModPartitioner::new(4)));
+        assert_eq!(again.id(), cp.id(), "same partitioner must stay a no-op");
+        assert_eq!(again.count().unwrap(), 40);
+        assert_eq!(sc.metrics().delta(&before).shuffles, 0);
+    }
+
+    #[test]
+    fn local_checkpoint_of_uncached_partition_is_typed_error() {
+        let sc = ctx();
+        let rdd = sc.parallelize((0u64..10).collect(), 2).map(|x| x + 1);
+        let err = rdd.local_checkpoint().err().expect("nothing is cached");
+        assert_eq!(
+            err,
+            crate::SparkError::CheckpointMissing {
+                rdd: rdd.id(),
+                partition: 0
+            }
+        );
+        // Persisted but only partly materialized: the first hole is named
+        // and the cached partitions stay with the original.
+        let persisted = sc
+            .parallelize((0u64..10).collect(), 2)
+            .map(|x| x + 1)
+            .persist();
+        persisted.inner.partition_data(0).unwrap();
+        let err = persisted
+            .local_checkpoint()
+            .err()
+            .expect("partition 1 is not cached");
+        assert!(matches!(
+            err,
+            crate::SparkError::CheckpointMissing { partition: 1, .. }
+        ));
+        assert!(persisted.inner.cache[0].lock().is_some());
+    }
+
+    #[test]
+    fn local_checkpoint_retries_from_cache_bit_identical() {
+        let sc = ctx();
+        let rdd = shuffled(&sc);
+        let mut expected = rdd.collect().unwrap();
+        let cp = rdd.local_checkpoint().unwrap();
+        drop(rdd);
+        sc.inject_task_failure(cp.id(), 1);
+        let before = sc.metrics();
+        let mut got = cp.collect().unwrap();
+        let delta = sc.metrics().delta(&before);
+        assert_eq!(delta.task_retries, 1);
+        assert_eq!(delta.cache_hits, 4, "the retry is served from the cache");
+        assert_eq!(delta.shuffles, 0);
+        expected.sort();
+        got.sort();
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn local_checkpoint_read_after_unpersist_is_typed_error() {
+        let sc = ctx();
+        let cp = shuffled(&sc).local_checkpoint().unwrap();
+        cp.unpersist();
+        let err = cp.collect().unwrap_err();
+        assert!(
+            matches!(
+                err.root(),
+                crate::SparkError::CheckpointMissing { rdd, .. } if *rdd == cp.id()
+            ),
+            "got {err:?}"
+        );
     }
 
     #[test]
