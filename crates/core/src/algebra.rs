@@ -23,12 +23,12 @@
 //! assert!(reach.get(0, 2));
 //! ```
 
-use crate::engine::{self, AlgRun};
-use crate::solver::{ApspError, SolverConfig};
+use crate::engine::{self, Grid};
+use crate::solver::{ApspError, EngineSolver, SolverConfig};
 use apsp_blockmat::algebra::Elem;
 use apsp_blockmat::{ElemBlock, PathAlgebra};
 use sparklet::{EstimateSize, MetricsSnapshot, SparkContext};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub use crate::engine::Stageable;
 pub use apsp_blockmat::{
@@ -109,7 +109,7 @@ pub trait AlgebraSolver {
 /// stores only the upper block triangle and mirrors by transposition —
 /// and carry the multiplicative identity on the diagonal, or padding and
 /// diagonal closure misbehave. Costs `O(n²)` like the tropical check.
-fn validate_symmetric<A: PathAlgebra>(
+pub(crate) fn validate_symmetric<A: PathAlgebra>(
     n: usize,
     weight: &dyn Fn(usize, usize) -> Elem<A>,
 ) -> Result<(), ApspError> {
@@ -137,66 +137,33 @@ fn validate_symmetric<A: PathAlgebra>(
     Ok(())
 }
 
-/// Shared epilogue: collect, trim, and account.
-fn finish<A: PathAlgebra>(
-    ctx: &SparkContext,
-    start: Instant,
-    metrics_before: MetricsSnapshot,
-    run: AlgRun<A>,
-) -> Result<AlgebraResult<A>, ApspError> {
-    let n = run.n;
-    let (vals, pays) = run.collect_dense()?;
-    let metrics = ctx.metrics().delta(&metrics_before);
-    Ok(AlgebraResult {
-        values: ElemBlock::from_vec(n, vals),
-        payloads: pays,
-        metrics,
-        elapsed: start.elapsed(),
-        iterations: run.iterations,
-    })
+/// Every engine solver runs its loop over any algebra on the triangle:
+/// `validate_symmetric` is the input contract.
+impl<S: EngineSolver> AlgebraSolver for S {
+    fn solve_algebra<A: PathAlgebra>(
+        &self,
+        ctx: &SparkContext,
+        n: usize,
+        weight: &dyn Fn(usize, usize) -> Elem<A>,
+        cfg: &SolverConfig,
+    ) -> Result<AlgebraResult<A>, ApspError>
+    where
+        ElemBlock<A::Semi>: Stageable,
+        Elem<A>: EstimateSize,
+    {
+        let (solved, payloads) =
+            engine::solve::<A>(ctx, n, weight, cfg, (S::LOOP, Grid::UpperTriangle), &|_| {
+                validate_symmetric::<A>(n, weight)
+            })?;
+        Ok(AlgebraResult {
+            values: ElemBlock::from_vec(n, solved.values),
+            payloads,
+            metrics: solved.metrics,
+            elapsed: solved.elapsed,
+            iterations: solved.iterations,
+        })
+    }
 }
-
-macro_rules! impl_algebra_solver {
-    ($solver:ty, $engine_fn:path $(, $grid:expr)?) => {
-        impl AlgebraSolver for $solver {
-            fn solve_algebra<A: PathAlgebra>(
-                &self,
-                ctx: &SparkContext,
-                n: usize,
-                weight: &dyn Fn(usize, usize) -> Elem<A>,
-                cfg: &SolverConfig,
-            ) -> Result<AlgebraResult<A>, ApspError>
-            where
-                ElemBlock<A::Semi>: Stageable,
-                Elem<A>: EstimateSize,
-            {
-                cfg.check(n)?;
-                if cfg.validate_input {
-                    validate_symmetric::<A>(n, weight)?;
-                }
-                let start = Instant::now();
-                let metrics_before = ctx.metrics();
-                let run = $engine_fn(ctx, n, weight, cfg $(, $grid)?)?;
-                finish(ctx, start, metrics_before, run)
-            }
-        }
-    };
-}
-
-// `validate_symmetric` is the input contract, so the two loops that have
-// a grid axis run on the triangle.
-impl_algebra_solver!(
-    crate::BlockedCollectBroadcast,
-    engine::solve_cb::<A>,
-    engine::Grid::UpperTriangle
-);
-impl_algebra_solver!(crate::BlockedInMemory, engine::solve_im::<A>);
-impl_algebra_solver!(
-    crate::FloydWarshall2D,
-    engine::solve_fw2d::<A>,
-    engine::Grid::UpperTriangle
-);
-impl_algebra_solver!(crate::RepeatedSquaring, engine::solve_rs::<A>);
 
 /// All-pairs **widest (bottleneck) paths** over an undirected
 /// capacity-weighted graph: entry `(i, j)` of the result is the largest

@@ -1,9 +1,9 @@
 //! Algorithm 4: Blocked Collect/Broadcast — the paper's best solver.
 
 use crate::blocks::BlockedMatrix;
-use crate::engine::{self, AlgRun, Grid};
-use crate::solver::{validate_adjacency, ApspError, ApspResult, ApspSolver, SolverConfig};
-use apsp_blockmat::{Matrix, TrackedTropical, Tropical};
+use crate::engine::{self, Grid, Loop};
+use crate::solver::{validate_adjacency, ApspError, EngineSolver, SolverConfig};
+use apsp_blockmat::{Matrix, Tropical};
 use sparklet::{SparkContext, SparkError};
 use std::time::Instant;
 
@@ -21,46 +21,19 @@ use std::time::Instant;
 /// Impure: staged blocks live outside the lineage, so recomputed tasks
 /// may find them gone (exercised by the fault-injection tests).
 ///
-/// The algorithm itself lives in the crate-private `engine` module generically; this
-/// front-end instantiates it with the [`Tropical`] algebra (plain APSP)
-/// or [`TrackedTropical`] (`with_paths`), and [`crate::algebra`] exposes
-/// the same loop for bottleneck and reachability workloads.
+/// The algorithm itself lives in the crate-private `engine` module
+/// generically. This front-end only names its loop: its
+/// [`ApspSolver`](crate::ApspSolver) impl (over [`crate::Tropical`], or
+/// [`crate::TrackedTropical`] under `with_paths`) and its
+/// [`AlgebraSolver`](crate::AlgebraSolver) impl, which runs the same loop
+/// for bottleneck and reachability workloads, come from the engine seam.
 #[derive(Debug, Default, Clone)]
 pub struct BlockedCollectBroadcast;
 
-impl ApspSolver for BlockedCollectBroadcast {
-    fn name(&self) -> &'static str {
-        "Blocked-CB"
-    }
-
-    fn is_pure(&self) -> bool {
-        false
-    }
-
-    fn solve(
-        &self,
-        ctx: &SparkContext,
-        adjacency: &Matrix,
-        cfg: &SolverConfig,
-    ) -> Result<ApspResult, ApspError> {
-        if cfg.track_paths {
-            return engine::solve_tracked(
-                ctx,
-                adjacency,
-                cfg,
-                Grid::UpperTriangle,
-                engine::solve_cb::<TrackedTropical>,
-            );
-        }
-        let dd = self.solve_distributed(ctx, adjacency, cfg)?;
-        let result = dd.blocked.collect_to_matrix()?;
-        Ok(ApspResult::new(
-            result,
-            dd.metrics,
-            dd.elapsed,
-            dd.iterations,
-        ))
-    }
+impl EngineSolver for BlockedCollectBroadcast {
+    const NAME: &'static str = "Blocked-CB";
+    const PURE: bool = false;
+    const LOOP: Loop = Loop::Cb;
 }
 
 /// A solved distance matrix left *distributed*: the paper's driver needs
@@ -80,10 +53,21 @@ pub struct DistributedDistances {
 }
 
 impl DistributedDistances {
+    fn check_vertex(&self, v: usize) -> Result<(), ApspError> {
+        if v < self.blocked.n {
+            Ok(())
+        } else {
+            Err(ApspError::InvalidInput(format!(
+                "vertex {v} out of range for n = {}",
+                self.blocked.n
+            )))
+        }
+    }
+
     /// Shortest distance between two vertices: fetches exactly one block.
     pub fn distance(&self, i: usize, j: usize) -> Result<f64, ApspError> {
-        let n = self.blocked.n;
-        assert!(i < n && j < n, "vertex out of range");
+        self.check_vertex(i)?;
+        self.check_vertex(j)?;
         let b = self.blocked.b;
         let key = crate::blocks::canonical(i / b, j / b);
         let records = self.blocked.rdd.filter(move |(k, _)| *k == key).collect()?;
@@ -102,9 +86,8 @@ impl DistributedDistances {
     /// All distances from one source vertex: fetches the source's block
     /// cross (`q` blocks), not the whole matrix.
     pub fn row(&self, i: usize) -> Result<Vec<f64>, ApspError> {
-        let n = self.blocked.n;
-        assert!(i < n, "vertex out of range");
-        let b = self.blocked.b;
+        self.check_vertex(i)?;
+        let (n, b) = (self.blocked.n, self.blocked.b);
         let block_row = i / b;
         let local = i % b;
         let records = self
@@ -138,11 +121,11 @@ impl DistributedDistances {
 }
 
 impl BlockedCollectBroadcast {
-    /// Like [`ApspSolver::solve`] but leaves the result distributed.
+    /// Like [`crate::ApspSolver::solve`] but leaves the result distributed.
     ///
     /// Rejects [`SolverConfig::with_paths`]: the distributed handle has no
-    /// parent-matrix surface — use [`ApspSolver::solve`], whose collected
-    /// result carries one.
+    /// parent-matrix surface — use [`crate::ApspSolver::solve`], whose
+    /// collected result carries one.
     pub fn solve_distributed(
         &self,
         ctx: &SparkContext,
@@ -164,7 +147,7 @@ impl BlockedCollectBroadcast {
         let start = Instant::now();
         let metrics_before = ctx.metrics();
 
-        let run: AlgRun<Tropical> = engine::solve_cb(
+        let (rdd, iterations) = engine::solve_cb::<Tropical>(
             ctx,
             n,
             &|i, j| adjacency.get(i, j),
@@ -173,17 +156,18 @@ impl BlockedCollectBroadcast {
         )?;
 
         let metrics = ctx.metrics().delta(&metrics_before);
-        let rdd = run.rdd.map(|(key, ab)| (key, ab.into_parts().0));
+        let b = cfg.block_size;
+        let rdd = rdd.map(|(key, ab)| (key, ab.into_parts().0));
         Ok(DistributedDistances {
             blocked: BlockedMatrix {
-                n: run.n,
-                b: run.b,
-                q: run.q,
+                n,
+                b,
+                q: n.div_ceil(b),
                 rdd,
             },
             metrics,
             elapsed: start.elapsed(),
-            iterations: run.iterations,
+            iterations,
         })
     }
 }
@@ -192,6 +176,7 @@ impl BlockedCollectBroadcast {
 mod tests {
     use super::*;
     use crate::blocks::PartitionerChoice;
+    use crate::solver::ApspSolver;
     use apsp_blockmat::INF;
     use apsp_graph::{floyd_warshall as fw_oracle, generators};
     use sparklet::SparkConfig;
@@ -308,6 +293,23 @@ mod tests {
         let _ = dd.distance(1, 2).unwrap();
         let delta = sc.metrics().delta(&before);
         assert!(delta.collected_records <= 1);
+    }
+
+    #[test]
+    fn distributed_queries_reject_out_of_range_vertices() {
+        let dd = BlockedCollectBroadcast
+            .solve_distributed(
+                &ctx(),
+                &generators::cycle(8).to_dense(),
+                &SolverConfig::new(4),
+            )
+            .unwrap();
+        for res in [dd.distance(8, 0), dd.distance(0, 8)] {
+            assert!(matches!(res, Err(ApspError::InvalidInput(_))));
+        }
+        assert!(matches!(dd.row(8), Err(ApspError::InvalidInput(_))));
+        assert_eq!(dd.distance(7, 0).unwrap(), 1.0);
+        assert_eq!(dd.row(7).unwrap().len(), 8);
     }
 
     #[test]

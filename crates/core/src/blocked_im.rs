@@ -1,10 +1,7 @@
 //! Algorithm 3: Blocked In-Memory — the pure blocked solver.
 
-use crate::engine::{self, AlgRun, Grid};
-use crate::solver::{validate_adjacency, ApspError, ApspResult, ApspSolver, SolverConfig};
-use apsp_blockmat::{Matrix, TrackedTropical, Tropical};
-use sparklet::SparkContext;
-use std::time::Instant;
+use crate::engine::Loop;
+use crate::solver::EngineSolver;
 
 /// The paper's Algorithm 3: the blocked (Venkataraman) Floyd-Warshall
 /// staying entirely inside the fault-tolerant engine API. Data that the
@@ -25,64 +22,28 @@ use std::time::Instant;
 /// (and spill) O(q²) blocks per iteration — the source of its local-
 /// storage blowup at scale.
 ///
-/// The algorithm itself lives in the crate-private `engine` module generically; this
-/// front-end instantiates it with [`Tropical`] (plain APSP) or
-/// [`TrackedTropical`] (`with_paths`).
+/// The algorithm itself lives in the crate-private `engine` module
+/// generically. This front-end only names its loop: its
+/// [`ApspSolver`](crate::ApspSolver) impl (over [`crate::Tropical`], or
+/// [`crate::TrackedTropical`] under `with_paths`) and its
+/// [`AlgebraSolver`](crate::AlgebraSolver) impl come from the engine seam.
 #[derive(Debug, Default, Clone)]
 pub struct BlockedInMemory;
 
-impl ApspSolver for BlockedInMemory {
-    fn name(&self) -> &'static str {
-        "Blocked-IM"
-    }
-
-    fn is_pure(&self) -> bool {
-        true
-    }
-
-    fn solve(
-        &self,
-        ctx: &SparkContext,
-        adjacency: &Matrix,
-        cfg: &SolverConfig,
-    ) -> Result<ApspResult, ApspError> {
-        if cfg.track_paths {
-            return engine::solve_tracked(
-                ctx,
-                adjacency,
-                cfg,
-                Grid::UpperTriangle,
-                |c, n, w, cfg, _| engine::solve_im::<TrackedTropical>(c, n, w, cfg),
-            );
-        }
-        let n = adjacency.order();
-        cfg.check(n)?;
-        if cfg.validate_input {
-            validate_adjacency(adjacency)?;
-        }
-        let start = Instant::now();
-        let metrics_before = ctx.metrics();
-
-        let run: AlgRun<Tropical> = engine::solve_im(ctx, n, &|i, j| adjacency.get(i, j), cfg)?;
-        let (vals, _) = run.collect_dense()?;
-
-        let metrics = ctx.metrics().delta(&metrics_before);
-        Ok(ApspResult::new(
-            Matrix::from_vec(n, vals),
-            metrics,
-            start.elapsed(),
-            run.iterations,
-        ))
-    }
+impl EngineSolver for BlockedInMemory {
+    const NAME: &'static str = "Blocked-IM";
+    const PURE: bool = true;
+    const LOOP: Loop = Loop::Im;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::blocks::PartitionerChoice;
+    use crate::solver::{ApspSolver, SolverConfig};
     use apsp_blockmat::INF;
     use apsp_graph::{floyd_warshall as fw_oracle, generators};
-    use sparklet::SparkConfig;
+    use sparklet::{SparkConfig, SparkContext};
 
     fn ctx() -> SparkContext {
         SparkContext::new(SparkConfig::with_cores(4))

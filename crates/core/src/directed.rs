@@ -8,9 +8,9 @@
 //! triangle — no halving, no transpose-on-demand, pivot row and pivot
 //! column distinct stored data. This module holds no loop of its own.
 
-use crate::engine::{solve_cb, solve_dense, solve_fw2d, solve_tracked, Grid};
-use crate::solver::{ApspError, ApspResult, SolverConfig};
-use apsp_blockmat::{Matrix, Tropical};
+use crate::engine::{Grid, Loop};
+use crate::solver::{solve_apsp, ApspError, ApspResult, SolverConfig};
+use apsp_blockmat::Matrix;
 use sparklet::SparkContext;
 
 /// Directed Blocked Collect/Broadcast: Algorithm 4 without the symmetry
@@ -50,16 +50,7 @@ impl DirectedBlockedCB {
         adjacency: &Matrix,
         cfg: &SolverConfig,
     ) -> Result<ApspResult, ApspError> {
-        if cfg.track_paths {
-            return Err(ApspError::InvalidConfig(
-                "path tracking (with_paths) is not supported by DirectedBlockedCB: its staged \
-                 cross pieces have no validated seeding contract on the full grid (see the \
-                 type-level docs); use DirectedFloydWarshall2D::solve with with_paths, or \
-                 apsp_graph::paths::floyd_warshall_vias for a sequential oracle"
-                    .into(),
-            ));
-        }
-        solve_dense(ctx, adjacency, cfg, Grid::Full, solve_cb::<Tropical>).map(|(result, _)| result)
+        solve_apsp(ctx, adjacency, cfg, (Loop::Cb, Grid::Full))
     }
 }
 
@@ -84,18 +75,14 @@ impl DirectedFloydWarshall2D {
     /// rank-1 update records the broadcast pivot as the via — a valid
     /// interior vertex of the *directed* `i → j` path by construction.
     /// Both modes run the same generic full-grid loop, instantiated with
-    /// [`Tropical`] or [`apsp_blockmat::TrackedTropical`].
+    /// [`apsp_blockmat::Tropical`] or [`apsp_blockmat::TrackedTropical`].
     pub fn solve(
         &self,
         ctx: &SparkContext,
         adjacency: &Matrix,
         cfg: &SolverConfig,
     ) -> Result<ApspResult, ApspError> {
-        if cfg.track_paths {
-            return solve_tracked(ctx, adjacency, cfg, Grid::Full, solve_fw2d);
-        }
-        solve_dense(ctx, adjacency, cfg, Grid::Full, solve_fw2d::<Tropical>)
-            .map(|(result, _)| result)
+        solve_apsp(ctx, adjacency, cfg, (Loop::Fw2d, Grid::Full))
     }
 }
 

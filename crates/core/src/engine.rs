@@ -1,14 +1,16 @@
 //! The generic solver engine: the paper's four Spark algorithms written
 //! **once**, over any [`PathAlgebra`].
 //!
-//! Every solver front-end in this crate (`BlockedCollectBroadcast`,
-//! `BlockedInMemory`, `FloydWarshall2D`, `RepeatedSquaring`) is a thin
-//! instantiation of the skeletons here:
+//! Every engine-backed solve — the `ApspSolver` and `AlgebraSolver` impls
+//! of `BlockedCollectBroadcast`, `BlockedInMemory`, `FloydWarshall2D` and
+//! `RepeatedSquaring`, both directed front-ends, and the planner — is one
+//! call of the seam [`solve`], chosen by a [`Loop`] and a [`Grid`],
+//! instantiated with an algebra:
 //!
 //! * plain APSP = [`Tropical`](apsp_blockmat::Tropical) — payload-free
 //!   records whose updates hit the packed `f64` kernel engine, bit-exact
 //!   with the dedicated stack this module replaced;
-//! * `SolverConfig::with_paths` = [`TrackedTropical`] — the same
+//! * `SolverConfig::with_paths` = [`apsp_blockmat::TrackedTropical`] — the same
 //!   skeletons with a `u32` argmin payload riding on each cell (what used
 //!   to be the four hand-cloned solvers in `tracked.rs`);
 //! * bottleneck/widest paths = [`apsp_blockmat::Widest`] — the same
@@ -44,23 +46,23 @@ use crate::building_blocks::{
     copy_col, copy_diag, extract_col_parts, in_column, on_diagonal, unpack_and_update, AlgPiece,
 };
 use crate::checkpoint::Checkpointer;
-use crate::solver::{ApspError, ApspResult, SolverConfig};
+use crate::solver::{ApspError, SolverConfig};
 use apsp_blockmat::algebra::Elem;
 use apsp_blockmat::{
-    AlgBlock, Block, BoolSemiring, BottleneckF64, ElemBlock, Matrix, Offsets, PathAlgebra,
-    Semiring, TrackedTropical, TropicalF64,
+    AlgBlock, Block, BoolSemiring, BottleneckF64, ElemBlock, Offsets, PathAlgebra, Semiring,
 };
-use apsp_graph::paths::ParentMatrix;
 use sparklet::{
-    EstimateSize, Partitioner, Rdd, SideChannel, SparkContext, SparkError, SparkResult,
+    EstimateSize, MetricsSnapshot, Partitioner, Rdd, SideChannel, SparkContext, SparkError,
+    SparkResult,
 };
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// One RDD record of a generic solve: a keyed algebra block.
 pub(crate) type AlgRecord<A> = (BlockKey, AlgBlock<A>);
 
 /// Dense collection result: row-major elements plus payloads.
-pub(crate) type DenseParts<A> = (Vec<Elem<A>>, Vec<<A as PathAlgebra>::Payload>);
+type DenseParts<A> = (Vec<Elem<A>>, Vec<<A as PathAlgebra>::Payload>);
 
 /// An element block that can be staged in (and fetched from) the shared
 /// side channel — the dissemination path of the impure solvers.
@@ -118,53 +120,48 @@ pub(crate) enum Grid {
     Full,
 }
 
-/// Outcome of a generic solver loop: the closed distributed blocks plus
-/// geometry. Metrics and wall-clock are accounted by the calling
-/// front-end so each keeps its historical measurement window.
-pub(crate) struct AlgRun<A: PathAlgebra> {
-    pub n: usize,
-    pub b: usize,
-    pub q: usize,
-    pub grid: Grid,
-    pub rdd: Rdd<AlgRecord<A>>,
-    pub iterations: u64,
-}
+/// Outcome of a generic solver loop: the closed distributed blocks and the
+/// iterations run. Geometry, metrics and wall-clock are the caller's:
+/// [`solve`] accounts the loop *and* its final collect in one window.
+pub(crate) type Closed<A> = (Rdd<AlgRecord<A>>, u64);
 
-impl<A: PathAlgebra> AlgRun<A> {
-    /// Rebuilds the dense element matrix *and* the dense payload matrix
-    /// from the distributed blocks, trimming padding. An upper-triangle
-    /// run is mirrored across the diagonal (valid on the symmetric
-    /// instances that storage assumes); a full-grid run is copied as is.
-    pub fn collect_dense(&self) -> SparkResult<DenseParts<A>> {
-        let records = self.rdd.collect()?;
-        let (n, b) = (self.n, self.b);
-        let mirror = self.grid == Grid::UpperTriangle;
-        let mut vals = vec![A::Semi::zero(); n * n];
-        let mut pays = vec![A::empty_payload(); n * n];
-        for ((bi, bj), ab) in records {
-            for i in 0..b {
-                let gi = bi * b + i;
-                if gi >= n {
-                    continue;
-                }
-                for j in 0..b {
-                    let gj = bj * b + j;
-                    if gj < n {
-                        vals[gi * n + gj] = ab.dist().get(i, j);
-                        let p = ab.via().get(i, j);
-                        pays[gi * n + gj] = p;
-                        if mirror {
-                            pays[gj * n + gi] = p;
-                            if bi != bj {
-                                vals[gj * n + gi] = ab.dist().get(i, j);
-                            }
+/// Rebuilds the dense element matrix *and* the dense payload matrix from
+/// the distributed blocks of side `b`, trimming padding. An upper-triangle
+/// run is mirrored across the diagonal (valid on the symmetric instances
+/// that storage assumes); a full-grid run is copied as is.
+fn collect_dense<A: PathAlgebra>(
+    rdd: &Rdd<AlgRecord<A>>,
+    n: usize,
+    b: usize,
+    grid: Grid,
+) -> SparkResult<DenseParts<A>> {
+    let records = rdd.collect()?;
+    let mirror = grid == Grid::UpperTriangle;
+    let mut vals = vec![A::Semi::zero(); n * n];
+    let mut pays = vec![A::empty_payload(); n * n];
+    for ((bi, bj), ab) in records {
+        for i in 0..b {
+            let gi = bi * b + i;
+            if gi >= n {
+                continue;
+            }
+            for j in 0..b {
+                let gj = bj * b + j;
+                if gj < n {
+                    vals[gi * n + gj] = ab.dist().get(i, j);
+                    let p = ab.via().get(i, j);
+                    pays[gi * n + gj] = p;
+                    if mirror {
+                        pays[gj * n + gi] = p;
+                        if bi != bj {
+                            vals[gj * n + gi] = ab.dist().get(i, j);
                         }
                     }
                 }
             }
         }
-        Ok((vals, pays))
     }
+    Ok((vals, pays))
 }
 
 /// What [`begin`] hands a loop: `(b, q, partitioner, initial records)`.
@@ -246,7 +243,7 @@ pub(crate) fn solve_cb<A: PathAlgebra>(
     get: &dyn Fn(usize, usize) -> Elem<A>,
     cfg: &SolverConfig,
     grid: Grid,
-) -> Result<AlgRun<A>, ApspError>
+) -> Result<Closed<A>, ApspError>
 where
     ElemBlock<A::Semi>: Stageable,
 {
@@ -360,14 +357,7 @@ where
         ckpt.after_round(i, &a)?;
     }
 
-    Ok(AlgRun {
-        n,
-        b,
-        q,
-        grid,
-        rdd: a,
-        iterations: q as u64,
-    })
+    Ok((a, q as u64))
 }
 
 // ---------------------------------------------------------------------------
@@ -377,12 +367,12 @@ where
 /// Algorithm 3 over any path algebra: diagonal and column copies replicate
 /// through the `CopyDiag`/`CopyCol` shuffles (as element blocks); the
 /// stored records fold them in with the algebra's kernels.
-pub(crate) fn solve_im<A: PathAlgebra>(
+fn solve_im<A: PathAlgebra>(
     ctx: &SparkContext,
     n: usize,
     get: &dyn Fn(usize, usize) -> Elem<A>,
     cfg: &SolverConfig,
-) -> Result<AlgRun<A>, ApspError> {
+) -> Result<Closed<A>, ApspError> {
     let (b, q, partitioner, initial) = begin::<A>(ctx, n, get, cfg, Grid::UpperTriangle)?;
     let (ckpt, resumed) = Checkpointer::<A>::prepare(ctx, cfg, "im", n, b, q, q)?;
     let (first_round, mut a): (usize, Rdd<AlgRecord<A>>) = match resumed {
@@ -476,14 +466,7 @@ pub(crate) fn solve_im<A: PathAlgebra>(
         ckpt.after_round(i, &a)?;
     }
 
-    Ok(AlgRun {
-        n,
-        b,
-        q,
-        grid: Grid::UpperTriangle,
-        rdd: a,
-        iterations: q as u64,
-    })
+    Ok((a, q as u64))
 }
 
 // ---------------------------------------------------------------------------
@@ -494,13 +477,13 @@ pub(crate) fn solve_im<A: PathAlgebra>(
 /// the full grid, pivot row) stays a plain element vector; every block
 /// applies the rank-1 update, recording the (single, global) pivot as the
 /// payload.
-pub(crate) fn solve_fw2d<A: PathAlgebra>(
+fn solve_fw2d<A: PathAlgebra>(
     ctx: &SparkContext,
     n: usize,
     get: &dyn Fn(usize, usize) -> Elem<A>,
     cfg: &SolverConfig,
     grid: Grid,
-) -> Result<AlgRun<A>, ApspError>
+) -> Result<Closed<A>, ApspError>
 where
     Elem<A>: EstimateSize,
 {
@@ -569,14 +552,7 @@ where
         ckpt.after_round(k, &a)?;
     }
 
-    Ok(AlgRun {
-        n,
-        b,
-        q,
-        grid,
-        rdd: a,
-        iterations: n as u64,
-    })
+    Ok((a, n as u64))
 }
 
 // ---------------------------------------------------------------------------
@@ -594,12 +570,12 @@ fn rs_col_key(step: usize, j: usize, k: usize) -> String {
 /// `reduceByKey` merge is the algebra's join, whose strict-improvement
 /// rule keeps the seeded estimate on ties — the seeding contract the
 /// tracking kernels rely on (see `apsp_blockmat::parent`).
-pub(crate) fn solve_rs<A: PathAlgebra>(
+fn solve_rs<A: PathAlgebra>(
     ctx: &SparkContext,
     n: usize,
     get: &dyn Fn(usize, usize) -> Elem<A>,
     cfg: &SolverConfig,
-) -> Result<AlgRun<A>, ApspError>
+) -> Result<Closed<A>, ApspError>
 where
     ElemBlock<A::Semi>: Stageable,
 {
@@ -712,77 +688,82 @@ where
         ckpt.after_round(step, &a)?;
     }
 
-    Ok(AlgRun {
-        n,
-        b,
-        q,
-        grid: Grid::UpperTriangle,
-        rdd: a,
-        iterations: sweeps_done,
-    })
+    Ok((a, sweeps_done))
 }
 
 // ---------------------------------------------------------------------------
-// Dense tropical front-end plumbing
+// The seam: one run-and-collect wrapper for every engine-backed solve
 // ---------------------------------------------------------------------------
 
-/// A generic solver loop as the dense front-ends call it: `solve_cb` /
-/// `solve_fw2d` as they are, the triangle-only loops behind a closure that
-/// drops the grid.
-pub(crate) type DenseRun<A> = fn(
-    &SparkContext,
-    usize,
-    &dyn Fn(usize, usize) -> f64,
-    &SolverConfig,
-    Grid,
-) -> Result<AlgRun<A>, ApspError>;
+/// Which of the paper's four loops a solve runs: Blocked Collect/Broadcast
+/// (Alg. 4), Blocked In-Memory (Alg. 3, triangle only), 2D Floyd-Warshall
+/// (Alg. 2) or repeated squaring (Alg. 1, triangle only). Together with a
+/// [`Grid`] it is the whole engine choice of a front-end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Loop {
+    Cb,
+    Im,
+    Fw2d,
+    Rs,
+}
 
-/// Runs a generic solver loop over a dense adjacency matrix and assembles
-/// the `ApspResult` (without parents) plus the collected payloads — the
-/// shared prologue/epilogue of the tracked and the directed front-ends.
-/// `grid` picks both the input contract (symmetric for the triangle, merely
-/// non-negative for the full grid) and what `run` stores.
-pub(crate) fn solve_dense<A: PathAlgebra<Semi = TropicalF64>>(
+/// A solve collected to the driver: the dense row-major `n × n` values,
+/// and the engine counters and wall clock from the loop's first job through
+/// the final collect.
+pub(crate) struct Solved<E> {
+    pub values: Vec<E>,
+    pub metrics: MetricsSnapshot,
+    pub elapsed: Duration,
+    pub iterations: u64,
+}
+
+/// What [`solve`] hands back: the collected solve and its payload plane.
+type SolvedParts<A> = (Solved<Elem<A>>, Vec<<A as PathAlgebra>::Payload>);
+
+/// The run-and-collect wrapper of every engine-backed solve, written once:
+/// rejects a `(loop, grid)` pair the engine has no loop for, checks `cfg`,
+/// applies the caller's input contract `validate` (told the grid, so a dense
+/// adjacency can pick its undirected or directed rules) when
+/// `cfg.validate_input`, then runs the loop and collects it inside one
+/// metrics/clock window. Returns the payload plane beside the values.
+pub(crate) fn solve<A: PathAlgebra>(
     ctx: &SparkContext,
-    adjacency: &Matrix,
+    n: usize,
+    weight: &dyn Fn(usize, usize) -> Elem<A>,
     cfg: &SolverConfig,
-    grid: Grid,
-    run: DenseRun<A>,
-) -> Result<(ApspResult, Vec<A::Payload>), ApspError> {
-    let n = adjacency.order();
+    (lp, grid): (Loop, Grid),
+    validate: &dyn Fn(Grid) -> Result<(), ApspError>,
+) -> Result<SolvedParts<A>, ApspError>
+where
+    ElemBlock<A::Semi>: Stageable,
+    Elem<A>: EstimateSize,
+{
+    if grid == Grid::Full && matches!(lp, Loop::Im | Loop::Rs) {
+        return Err(ApspError::InvalidConfig(format!(
+            "the {lp:?} loop has no full-grid (directed) variant; directed inputs run \
+             Blocked-CB or FW-2D"
+        )));
+    }
     cfg.check(n)?;
     if cfg.validate_input {
-        match grid {
-            Grid::UpperTriangle => apsp_graph::validate_adjacency(adjacency),
-            Grid::Full => apsp_graph::validate_directed_adjacency(adjacency),
-        }
-        .map_err(ApspError::InvalidInput)?;
+        validate(grid)?;
     }
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let metrics_before = ctx.metrics();
-    let out = run(ctx, n, &|i, j| adjacency.get(i, j), cfg, grid)?;
-    let (vals, pays) = out.collect_dense()?;
-    let metrics = ctx.metrics().delta(&metrics_before);
-    let result = ApspResult::new(
-        Matrix::from_vec(n, vals),
-        metrics,
-        start.elapsed(),
-        out.iterations,
-    );
-    Ok((result, pays))
-}
-
-/// [`solve_dense`] under the [`TrackedTropical`] algebra, with the parent
-/// matrix attached — the shared `with_paths` front-end.
-pub(crate) fn solve_tracked(
-    ctx: &SparkContext,
-    adjacency: &Matrix,
-    cfg: &SolverConfig,
-    grid: Grid,
-    run: DenseRun<TrackedTropical>,
-) -> Result<ApspResult, ApspError> {
-    let (result, vias) = solve_dense(ctx, adjacency, cfg, grid, run)?;
-    Ok(result.with_parents(ParentMatrix::from_vias(adjacency.order(), vias)))
+    let (rdd, iterations) = match lp {
+        Loop::Cb => solve_cb::<A>(ctx, n, weight, cfg, grid)?,
+        Loop::Im => solve_im::<A>(ctx, n, weight, cfg)?,
+        Loop::Fw2d => solve_fw2d::<A>(ctx, n, weight, cfg, grid)?,
+        Loop::Rs => solve_rs::<A>(ctx, n, weight, cfg)?,
+    };
+    let (values, payloads) = collect_dense(&rdd, n, cfg.block_size, grid)?;
+    let solved = Solved {
+        values,
+        metrics: ctx.metrics().delta(&metrics_before),
+        elapsed: start.elapsed(),
+        iterations,
+    };
+    Ok((solved, payloads))
 }
 
 #[cfg(test)]

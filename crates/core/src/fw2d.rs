@@ -1,10 +1,7 @@
 //! Algorithm 2: 2D-decomposed Floyd-Warshall (the "pure" solver).
 
-use crate::engine::{self, AlgRun, Grid};
-use crate::solver::{validate_adjacency, ApspError, ApspResult, ApspSolver, SolverConfig};
-use apsp_blockmat::{Matrix, TrackedTropical, Tropical};
-use sparklet::SparkContext;
-use std::time::Instant;
+use crate::engine::Loop;
+use crate::solver::EngineSolver;
 
 /// The paper's Algorithm 2: `n` iterations; in iteration `k` the pivot
 /// column is extracted (`InColumn` + `ExtractCol`), collected at the
@@ -16,69 +13,27 @@ use std::time::Instant;
 /// which is what makes it uncompetitive at scale (Table 2: projected
 /// ~50+ days at `n = 262144`).
 ///
-/// The algorithm itself lives in the crate-private `engine` module generically; this
-/// front-end instantiates it with [`Tropical`] (plain APSP) or
-/// [`TrackedTropical`] (`with_paths`).
+/// The algorithm itself lives in the crate-private `engine` module
+/// generically. This front-end only names its loop: its
+/// [`ApspSolver`](crate::ApspSolver) impl (over [`crate::Tropical`], or
+/// [`crate::TrackedTropical`] under `with_paths`) and its
+/// [`AlgebraSolver`](crate::AlgebraSolver) impl come from the engine seam.
 #[derive(Debug, Default, Clone)]
 pub struct FloydWarshall2D;
 
-impl ApspSolver for FloydWarshall2D {
-    fn name(&self) -> &'static str {
-        "2D Floyd-Warshall"
-    }
-
-    fn is_pure(&self) -> bool {
-        true
-    }
-
-    fn solve(
-        &self,
-        ctx: &SparkContext,
-        adjacency: &Matrix,
-        cfg: &SolverConfig,
-    ) -> Result<ApspResult, ApspError> {
-        if cfg.track_paths {
-            return engine::solve_tracked(
-                ctx,
-                adjacency,
-                cfg,
-                Grid::UpperTriangle,
-                engine::solve_fw2d::<TrackedTropical>,
-            );
-        }
-        let n = adjacency.order();
-        cfg.check(n)?;
-        if cfg.validate_input {
-            validate_adjacency(adjacency)?;
-        }
-        let start = Instant::now();
-        let metrics_before = ctx.metrics();
-
-        let run: AlgRun<Tropical> = engine::solve_fw2d(
-            ctx,
-            n,
-            &|i, j| adjacency.get(i, j),
-            cfg,
-            Grid::UpperTriangle,
-        )?;
-        let (vals, _) = run.collect_dense()?;
-
-        let metrics = ctx.metrics().delta(&metrics_before);
-        Ok(ApspResult::new(
-            Matrix::from_vec(n, vals),
-            metrics,
-            start.elapsed(),
-            run.iterations,
-        ))
-    }
+impl EngineSolver for FloydWarshall2D {
+    const NAME: &'static str = "2D Floyd-Warshall";
+    const PURE: bool = true;
+    const LOOP: Loop = Loop::Fw2d;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::{ApspSolver, SolverConfig};
     use apsp_blockmat::INF;
     use apsp_graph::{floyd_warshall, generators};
-    use sparklet::SparkConfig;
+    use sparklet::{SparkConfig, SparkContext};
 
     fn ctx() -> SparkContext {
         SparkContext::new(SparkConfig::with_cores(4))

@@ -79,9 +79,7 @@ pub use jobs::{
 pub use johnson_dist::DistributedJohnson;
 pub use mpi_dc::MpiDcApsp;
 pub use mpi_fw2d::MpiFw2d;
-pub use plan::{
-    Capabilities, Plan, PlanNote, Problem, ResourceHints, Solution, SolverCaps, SolverId, Workload,
-};
+pub use plan::{Plan, PlanNote, Problem, ResourceHints, Solution, SolverCaps, SolverId, Workload};
 pub use repeated_squaring::RepeatedSquaring;
 pub use serve::{
     answer_json, answer_query, render_text, InterruptedJob, QueryAnswer, QueryError, QueryRequest,

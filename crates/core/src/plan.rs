@@ -23,9 +23,11 @@
 //!    [`Solution::k_nearest`], [`Solution::submatrix`]).
 //!
 //! The old `ApspSolver`/`SolverConfig` surface stays as the expert layer
-//! the planner compiles down to ([`Plan::solver_config`]); a
-//! plan-executed solve is **bit-exact** with the explicitly-configured
-//! solver it selected.
+//! the planner compiles down to ([`Plan::solver_config`]). An engine
+//! solver's [`SolverId`] maps to one loop and block grid, and every
+//! workload runs it through the same engine seam as the expert
+//! front-ends, so a plan-executed solve is **bit-exact** with the
+//! explicitly-configured solver it selected.
 //!
 //! ```
 //! use apsp_core::plan::{Problem, Workload};
@@ -43,17 +45,19 @@
 //! assert_eq!(widest.width(0, 15), Some(1.0));
 //! ```
 
-use crate::algebra::AlgebraSolver;
+use crate::algebra::validate_symmetric;
 use crate::blocks::PartitionerChoice;
 use crate::checkpoint::CheckpointSpec;
-use crate::solver::{ApspError, ApspResult, ApspSolver, SolverConfig};
+use crate::engine::{Grid, Loop, Stageable};
+use crate::solver::{self, ApspError, ApspResult, ApspSolver, SolverConfig};
 use crate::store::{self, ClosureStore, StoreContents, ValueSource};
 use crate::tuner;
 use apsp_blockmat::algebra::Elem;
 use apsp_blockmat::kernels::{self, MinPlusKernel};
 use apsp_blockmat::{
     BoolSemiring, BottleneckF64, ElemBlock, Matrix, PathAlgebra, Reachability as ReachAlgebra,
-    TrackedReachability, TrackedWidest, Widest as WidestAlgebra, INF, NO_VIA,
+    TrackedReachability, TrackedTropical, TrackedWidest, Tropical, Widest as WidestAlgebra, INF,
+    NO_VIA,
 };
 use apsp_cluster::{
     project, ClusterSpec, KernelRates, PartitionerKind, Projection, SolverKind, SparkOverheads,
@@ -144,8 +148,8 @@ pub struct SolverCaps {
     /// Honors witness-path tracking (`SolverConfig::with_paths`).
     pub paths: bool,
     /// Runs non-tropical path algebras (the generic
-    /// [`AlgebraSolver`] engine behind [`Workload::Widest`] and
-    /// [`Workload::Reachability`]).
+    /// [`AlgebraSolver`](crate::AlgebraSolver) engine behind
+    /// [`Workload::Widest`] and [`Workload::Reachability`]).
     pub algebras: bool,
     /// Honors a round-granular [`CheckpointSpec`] (checkpoint and resume):
     /// the four engine solvers on the upper-triangle grid.
@@ -291,38 +295,25 @@ impl SolverId {
     pub fn name(self) -> &'static str {
         self.capabilities().name
     }
-}
 
-/// Capability metadata, reachable from the solver types themselves (the
-/// planner works on [`SolverId`]; this trait ties each record to its
-/// implementation).
-pub trait Capabilities {
-    /// The static capability record of this solver type.
-    fn capabilities() -> SolverCaps;
+    /// The engine loop and block grid this solver runs — the one mapping
+    /// every workload's execution dispatches on; `None` outside the engine.
+    fn engine(self) -> Option<(Loop, Grid)> {
+        Some(match self {
+            SolverId::BlockedCollectBroadcast => (Loop::Cb, Grid::UpperTriangle),
+            SolverId::BlockedInMemory => (Loop::Im, Grid::UpperTriangle),
+            SolverId::FloydWarshall2D => (Loop::Fw2d, Grid::UpperTriangle),
+            SolverId::RepeatedSquaring => (Loop::Rs, Grid::UpperTriangle),
+            SolverId::DirectedBlockedCB => (Loop::Cb, Grid::Full),
+            SolverId::DirectedFloydWarshall2D => (Loop::Fw2d, Grid::Full),
+            SolverId::CartesianSquaring
+            | SolverId::DistributedJohnson
+            | SolverId::MpiFw2d
+            | SolverId::MpiDc
+            | SolverId::SparseHierarchical => return None,
+        })
+    }
 }
-
-macro_rules! impl_capabilities {
-    ($($ty:ty => $id:expr),+ $(,)?) => {$(
-        impl Capabilities for $ty {
-            fn capabilities() -> SolverCaps {
-                $id.capabilities()
-            }
-        }
-    )+};
-}
-
-impl_capabilities!(
-    crate::BlockedCollectBroadcast => SolverId::BlockedCollectBroadcast,
-    crate::BlockedInMemory => SolverId::BlockedInMemory,
-    crate::FloydWarshall2D => SolverId::FloydWarshall2D,
-    crate::RepeatedSquaring => SolverId::RepeatedSquaring,
-    crate::CartesianSquaring => SolverId::CartesianSquaring,
-    crate::DistributedJohnson => SolverId::DistributedJohnson,
-    crate::MpiFw2d => SolverId::MpiFw2d,
-    crate::MpiDcApsp => SolverId::MpiDc,
-    crate::directed::DirectedBlockedCB => SolverId::DirectedBlockedCB,
-    crate::directed::DirectedFloydWarshall2D => SolverId::DirectedFloydWarshall2D,
-);
 
 // ---------------------------------------------------------------------------
 // Problem
@@ -896,9 +887,9 @@ impl<'a> Problem<'a> {
             }
             Input::Dense(m) => m,
         };
-        // Two execution substrates, made unrepresentable to mix up: the
-        // sparklet engine returns an [`ApspResult`] with live metrics,
-        // the MPI baselines return bare matrices.
+        // The engine loops run through the shared engine arm; of the rest,
+        // Cartesian and Johnson return an [`ApspResult`] with live metrics,
+        // the MPI baselines bare matrices — made unrepresentable to mix up.
         // One short-lived value per solve, consumed immediately below —
         // the variant size skew clippy flags never matters here.
         #[allow(clippy::large_enum_variant)]
@@ -907,29 +898,21 @@ impl<'a> Problem<'a> {
             Mpi(Matrix, Option<ParentMatrix>, u64),
         }
         let executed = match plan.solver {
-            SolverId::BlockedCollectBroadcast => {
-                Executed::Engine(crate::BlockedCollectBroadcast.solve(ctx, adj, &cfg)?)
-            }
-            SolverId::BlockedInMemory => {
-                Executed::Engine(crate::BlockedInMemory.solve(ctx, adj, &cfg)?)
-            }
-            SolverId::FloydWarshall2D => {
-                Executed::Engine(crate::FloydWarshall2D.solve(ctx, adj, &cfg)?)
-            }
-            SolverId::RepeatedSquaring => {
-                Executed::Engine(crate::RepeatedSquaring.solve(ctx, adj, &cfg)?)
+            id if id.engine().is_some() => {
+                return self.execute_engine::<Tropical, TrackedTropical>(
+                    ctx,
+                    plan,
+                    start,
+                    &|i, j| adj.get(i, j),
+                    &|grid| solver::validate_dense(adj, grid),
+                    |n, values| Values::Distances(Matrix::from_vec(n, values)),
+                )
             }
             SolverId::CartesianSquaring => {
                 Executed::Engine(crate::CartesianSquaring.solve(ctx, adj, &cfg)?)
             }
             SolverId::DistributedJohnson => {
                 Executed::Engine(crate::DistributedJohnson.solve(ctx, adj, &cfg)?)
-            }
-            SolverId::DirectedBlockedCB => {
-                Executed::Engine(crate::directed::DirectedBlockedCB.solve(ctx, adj, &cfg)?)
-            }
-            SolverId::DirectedFloydWarshall2D => {
-                Executed::Engine(crate::directed::DirectedFloydWarshall2D.solve(ctx, adj, &cfg)?)
             }
             SolverId::MpiFw2d => {
                 let grid = ((plan.cores as f64).sqrt().floor() as usize).max(1);
@@ -952,19 +935,19 @@ impl<'a> Problem<'a> {
                     Executed::Mpi(r.distances, None, 1)
                 }
             }
-            SolverId::SparseHierarchical => {
-                return Err(ApspError::InvalidConfig(
-                    "the hierarchical solver is handled before dense materialization \
-                     (unreachable: execute_tropical returned early above)"
-                        .into(),
-                ))
+            other => {
+                return Err(ApspError::InvalidConfig(format!(
+                    "{} is handled before dense dispatch (unreachable: execute_tropical \
+                     returned early above)",
+                    other.name()
+                )))
             }
         };
         let (values, vias, metrics, iterations) = match executed {
             Executed::Engine(res) => {
                 let metrics = res.metrics;
                 let iterations = res.iterations;
-                let (distances, parents) = split_apsp_result(res);
+                let (distances, parents) = res.into_distances_and_parents();
                 (distances, parents, metrics, iterations)
             }
             Executed::Mpi(distances, parents, iterations) => {
@@ -1062,41 +1045,20 @@ impl<'a> Problem<'a> {
         plan: Plan,
         start: Instant,
     ) -> Result<Solution, ApspError> {
-        let cfg = plan.solver_config();
         if plan.validate {
             self.validate_weights()?;
         }
         let caps = self.capacities()?;
         let n = caps.order();
         let weight = |i: usize, j: usize| caps.get(i, j);
-        if plan.paths {
-            let r = solve_algebra_on::<TrackedWidest>(plan.solver, ctx, n, &weight, &cfg)?;
-            let (metrics, iterations) = (r.metrics, r.iterations);
-            let (values, pays) = r.into_parts();
-            Ok(Solution {
-                n,
-                workload: Workload::Widest,
-                values: Values::Widths(values),
-                vias: Some(ParentMatrix::from_vias(n, pays)),
-                plan,
-                metrics,
-                elapsed: start.elapsed(),
-                iterations,
-            })
-        } else {
-            let r = solve_algebra_on::<WidestAlgebra>(plan.solver, ctx, n, &weight, &cfg)?;
-            let (metrics, iterations) = (r.metrics, r.iterations);
-            Ok(Solution {
-                n,
-                workload: Workload::Widest,
-                values: Values::Widths(r.into_values()),
-                vias: None,
-                plan,
-                metrics,
-                elapsed: start.elapsed(),
-                iterations,
-            })
-        }
+        self.execute_engine::<WidestAlgebra, TrackedWidest>(
+            ctx,
+            plan,
+            start,
+            &weight,
+            &|_| validate_symmetric::<WidestAlgebra>(n, &weight),
+            |n, values| Values::Widths(ElemBlock::from_vec(n, values)),
+        )
     }
 
     fn execute_reachability(
@@ -1105,7 +1067,6 @@ impl<'a> Problem<'a> {
         plan: Plan,
         start: Instant,
     ) -> Result<Solution, ApspError> {
-        let cfg = plan.solver_config();
         if plan.validate {
             self.validate_weights()?;
         }
@@ -1130,69 +1091,56 @@ impl<'a> Problem<'a> {
             }
         };
         let weight = |i: usize, j: usize| adj[i * n + j];
-        if plan.paths {
-            let r = solve_algebra_on::<TrackedReachability>(plan.solver, ctx, n, &weight, &cfg)?;
-            let (metrics, iterations) = (r.metrics, r.iterations);
-            let (values, pays) = r.into_parts();
-            Ok(Solution {
-                n,
-                workload: Workload::Reachability,
-                values: Values::Reach(values),
-                vias: Some(ParentMatrix::from_vias(n, pays)),
-                plan,
-                metrics,
-                elapsed: start.elapsed(),
-                iterations,
-            })
-        } else {
-            let r = solve_algebra_on::<ReachAlgebra>(plan.solver, ctx, n, &weight, &cfg)?;
-            let (metrics, iterations) = (r.metrics, r.iterations);
-            Ok(Solution {
-                n,
-                workload: Workload::Reachability,
-                values: Values::Reach(r.into_values()),
-                vias: None,
-                plan,
-                metrics,
-                elapsed: start.elapsed(),
-                iterations,
-            })
-        }
+        self.execute_engine::<ReachAlgebra, TrackedReachability>(
+            ctx,
+            plan,
+            start,
+            &weight,
+            &|_| validate_symmetric::<ReachAlgebra>(n, &weight),
+            |n, values| Values::Reach(ElemBlock::from_vec(n, values)),
+        )
     }
-}
 
-/// Splits an [`ApspResult`] into its distance matrix and optional parent
-/// matrix without re-solving.
-fn split_apsp_result(res: ApspResult) -> (Matrix, Option<ParentMatrix>) {
-    res.into_distances_and_parents()
-}
-
-/// Monomorphic dispatch of the generic algebra engine over the planner's
-/// algebra-capable solvers.
-fn solve_algebra_on<A: PathAlgebra>(
-    id: SolverId,
-    ctx: &SparkContext,
-    n: usize,
-    weight: &dyn Fn(usize, usize) -> Elem<A>,
-    cfg: &SolverConfig,
-) -> Result<crate::algebra::AlgebraResult<A>, ApspError>
-where
-    ElemBlock<A::Semi>: crate::algebra::Stageable,
-    Elem<A>: EstimateSize,
-{
-    match id {
-        SolverId::BlockedCollectBroadcast => {
-            crate::BlockedCollectBroadcast.solve_algebra::<A>(ctx, n, weight, cfg)
-        }
-        SolverId::BlockedInMemory => crate::BlockedInMemory.solve_algebra::<A>(ctx, n, weight, cfg),
-        SolverId::FloydWarshall2D => crate::FloydWarshall2D.solve_algebra::<A>(ctx, n, weight, cfg),
-        SolverId::RepeatedSquaring => {
-            crate::RepeatedSquaring.solve_algebra::<A>(ctx, n, weight, cfg)
-        }
-        other => Err(ApspError::InvalidConfig(format!(
-            "{} has no generic path-algebra engine (planner bug: capability rule skipped)",
-            other.name()
-        ))),
+    /// The engine arm of every workload: the planned solver's
+    /// `(loop, grid)` through the engine seam, under the workload's plain
+    /// algebra `P` or, with paths, its tracking twin `T`; `values` wraps
+    /// the dense result.
+    fn execute_engine<P, T>(
+        &self,
+        ctx: &SparkContext,
+        plan: Plan,
+        start: Instant,
+        weight: &dyn Fn(usize, usize) -> Elem<P>,
+        validate: &dyn Fn(Grid) -> Result<(), ApspError>,
+        values: fn(usize, Vec<Elem<P>>) -> Values,
+    ) -> Result<Solution, ApspError>
+    where
+        P: PathAlgebra,
+        T: PathAlgebra<Semi = P::Semi, Payload = u32>,
+        ElemBlock<P::Semi>: Stageable,
+        Elem<P>: EstimateSize,
+    {
+        let algebra_ok =
+            plan.workload == Workload::ShortestPaths || plan.solver.capabilities().algebras;
+        let Some(engine) = plan.solver.engine().filter(|_| algebra_ok) else {
+            return Err(ApspError::InvalidConfig(format!(
+                "{} has no generic path-algebra engine (planner bug: capability rule skipped)",
+                plan.solver.name()
+            )));
+        };
+        let n = self.order();
+        let cfg = plan.solver_config();
+        let (solved, vias) = solver::solve_paths::<P, T>(ctx, n, weight, &cfg, engine, validate)?;
+        Ok(Solution {
+            n,
+            workload: plan.workload,
+            values: values(n, solved.values),
+            vias,
+            plan,
+            metrics: solved.metrics,
+            elapsed: start.elapsed(),
+            iterations: solved.iterations,
+        })
     }
 }
 
@@ -1990,10 +1938,6 @@ mod tests {
 
     #[test]
     fn capabilities_reachable_from_types_and_ids() {
-        assert_eq!(
-            <crate::BlockedCollectBroadcast as Capabilities>::capabilities().id,
-            SolverId::BlockedCollectBroadcast
-        );
         for id in SolverId::ALL {
             let caps = id.capabilities();
             assert_eq!(caps.id, id);

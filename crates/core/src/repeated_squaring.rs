@@ -1,10 +1,7 @@
 //! Algorithm 1: repeated squaring with column-block sweeps.
 
-use crate::engine::{self, AlgRun, Grid};
-use crate::solver::{validate_adjacency, ApspError, ApspResult, ApspSolver, SolverConfig};
-use apsp_blockmat::{Matrix, TrackedTropical, Tropical};
-use sparklet::SparkContext;
-use std::time::Instant;
+use crate::engine::Loop;
+use crate::solver::EngineSolver;
 
 /// The paper's Algorithm 1: compute `A^n` over the (min, +) semiring by
 /// repeated squaring, with each squaring rewritten as `q` matrix ×
@@ -21,63 +18,27 @@ use std::time::Instant;
 /// squarings of `O(n³)` work each — but the fastest solver to write, which
 /// is the paper's point about programmer productivity.
 ///
-/// The algorithm itself lives in the crate-private `engine` module generically; this
-/// front-end instantiates it with [`Tropical`] (plain APSP) or
-/// [`TrackedTropical`] (`with_paths`).
+/// The algorithm itself lives in the crate-private `engine` module
+/// generically. This front-end only names its loop: its
+/// [`ApspSolver`](crate::ApspSolver) impl (over [`crate::Tropical`], or
+/// [`crate::TrackedTropical`] under `with_paths`) and its
+/// [`AlgebraSolver`](crate::AlgebraSolver) impl come from the engine seam.
 #[derive(Debug, Default, Clone)]
 pub struct RepeatedSquaring;
 
-impl ApspSolver for RepeatedSquaring {
-    fn name(&self) -> &'static str {
-        "Repeated Squaring"
-    }
-
-    fn is_pure(&self) -> bool {
-        false
-    }
-
-    fn solve(
-        &self,
-        ctx: &SparkContext,
-        adjacency: &Matrix,
-        cfg: &SolverConfig,
-    ) -> Result<ApspResult, ApspError> {
-        if cfg.track_paths {
-            return engine::solve_tracked(
-                ctx,
-                adjacency,
-                cfg,
-                Grid::UpperTriangle,
-                |c, n, w, cfg, _| engine::solve_rs::<TrackedTropical>(c, n, w, cfg),
-            );
-        }
-        let n = adjacency.order();
-        cfg.check(n)?;
-        if cfg.validate_input {
-            validate_adjacency(adjacency)?;
-        }
-        let start = Instant::now();
-        let metrics_before = ctx.metrics();
-
-        let run: AlgRun<Tropical> = engine::solve_rs(ctx, n, &|i, j| adjacency.get(i, j), cfg)?;
-        let (vals, _) = run.collect_dense()?;
-
-        let metrics = ctx.metrics().delta(&metrics_before);
-        Ok(ApspResult::new(
-            Matrix::from_vec(n, vals),
-            metrics,
-            start.elapsed(),
-            run.iterations,
-        ))
-    }
+impl EngineSolver for RepeatedSquaring {
+    const NAME: &'static str = "Repeated Squaring";
+    const PURE: bool = false;
+    const LOOP: Loop = Loop::Rs;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::{ApspSolver, SolverConfig};
     use apsp_blockmat::INF;
     use apsp_graph::{floyd_warshall as fw_oracle, generators};
-    use sparklet::SparkConfig;
+    use sparklet::{SparkConfig, SparkContext};
 
     fn ctx() -> SparkContext {
         SparkContext::new(SparkConfig::with_cores(4))

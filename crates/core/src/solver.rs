@@ -1,11 +1,13 @@
 //! The common solver interface, configuration, and result types.
 
 use crate::blocks::PartitionerChoice;
+use crate::engine::{self, Grid, Loop, Solved, Stageable};
+use apsp_blockmat::algebra::Elem;
 use apsp_blockmat::kernels::MinPlusKernel;
-use apsp_blockmat::Matrix;
+use apsp_blockmat::{ElemBlock, Matrix, PathAlgebra, TrackedTropical, Tropical};
 use apsp_cluster::{ClusterSpec, KernelRates, SolverKind, SparkOverheads};
 use apsp_graph::paths::{DistancesAndParents, ParentMatrix};
-use sparklet::{MetricsSnapshot, SparkContext, SparkError};
+use sparklet::{EstimateSize, MetricsSnapshot, SparkContext, SparkError};
 use std::time::Duration;
 
 /// Errors an APSP solve can fail with.
@@ -241,8 +243,8 @@ impl ApspResult {
         }
     }
 
-    pub(crate) fn with_parents(mut self, parents: ParentMatrix) -> Self {
-        self.parents = Some(parents);
+    pub(crate) fn with_parents(mut self, parents: Option<ParentMatrix>) -> Self {
+        self.parents = parents;
         self
     }
 
@@ -300,6 +302,105 @@ pub trait ApspSolver {
 /// Input validation shared by the solvers.
 pub(crate) fn validate_adjacency(m: &Matrix) -> Result<(), ApspError> {
     apsp_graph::validate_adjacency(m).map_err(ApspError::InvalidInput)
+}
+
+/// The input contract of a dense adjacency on `grid`: [`validate_adjacency`]
+/// on the triangle, merely non-negative weights on the full grid.
+pub(crate) fn validate_dense(m: &Matrix, grid: Grid) -> Result<(), ApspError> {
+    match grid {
+        Grid::UpperTriangle => validate_adjacency(m),
+        Grid::Full => apsp_graph::validate_directed_adjacency(m).map_err(ApspError::InvalidInput),
+    }
+}
+
+/// The paper's four Spark solvers are data: a name, a purity and a loop on
+/// the triangle. Each gets `ApspSolver` (below) and `AlgebraSolver` (in
+/// `crate::algebra`) from the engine seam.
+pub(crate) trait EngineSolver {
+    const NAME: &'static str;
+    const PURE: bool;
+    const LOOP: Loop;
+}
+
+impl<S: EngineSolver> ApspSolver for S {
+    fn name(&self) -> &'static str {
+        S::NAME
+    }
+
+    fn is_pure(&self) -> bool {
+        S::PURE
+    }
+
+    fn solve(
+        &self,
+        ctx: &SparkContext,
+        adjacency: &Matrix,
+        cfg: &SolverConfig,
+    ) -> Result<ApspResult, ApspError> {
+        solve_apsp(ctx, adjacency, cfg, (S::LOOP, Grid::UpperTriangle))
+    }
+}
+
+/// The engine seam under the plain algebra `P` or, when `cfg.track_paths`,
+/// its tracking twin `T`, whose vias become the parent matrix — the
+/// `with_paths` switch of every front-end that has one.
+pub(crate) fn solve_paths<P, T>(
+    ctx: &SparkContext,
+    n: usize,
+    weight: &dyn Fn(usize, usize) -> Elem<P>,
+    cfg: &SolverConfig,
+    engine: (Loop, Grid),
+    validate: &dyn Fn(Grid) -> Result<(), ApspError>,
+) -> Result<(Solved<Elem<P>>, Option<ParentMatrix>), ApspError>
+where
+    P: PathAlgebra,
+    T: PathAlgebra<Semi = P::Semi, Payload = u32>,
+    ElemBlock<P::Semi>: Stageable,
+    Elem<P>: EstimateSize,
+{
+    if !cfg.track_paths {
+        let (solved, _) = engine::solve::<P>(ctx, n, weight, cfg, engine, validate)?;
+        return Ok((solved, None));
+    }
+    // Rejected until tracked full-grid CB is validated: see `DirectedBlockedCB`.
+    if engine == (Loop::Cb, Grid::Full) {
+        return Err(ApspError::InvalidConfig(
+            "path tracking (with_paths) is not supported by DirectedBlockedCB: its staged \
+             cross pieces have no validated seeding contract on the full grid (see the \
+             type-level docs); use DirectedFloydWarshall2D::solve with with_paths, or \
+             apsp_graph::paths::floyd_warshall_vias for a sequential oracle"
+                .into(),
+        ));
+    }
+    let (solved, vias) = engine::solve::<T>(ctx, n, weight, cfg, engine, validate)?;
+    Ok((solved, Some(ParentMatrix::from_vias(n, vias))))
+}
+
+/// Shortest paths over a dense adjacency matrix, with parents under
+/// `with_paths`: `ApspSolver::solve` of the engine solvers and both directed
+/// front-ends.
+pub(crate) fn solve_apsp(
+    ctx: &SparkContext,
+    adjacency: &Matrix,
+    cfg: &SolverConfig,
+    engine: (Loop, Grid),
+) -> Result<ApspResult, ApspError> {
+    let n = adjacency.order();
+    let (solved, parents) = solve_paths::<Tropical, TrackedTropical>(
+        ctx,
+        n,
+        &|i, j| adjacency.get(i, j),
+        cfg,
+        engine,
+        &|grid| validate_dense(adjacency, grid),
+    )?;
+    let result = ApspResult::new(
+        Matrix::from_vec(n, solved.values),
+        solved.metrics,
+        solved.elapsed,
+        solved.iterations,
+    );
+    Ok(result.with_parents(parents))
 }
 
 #[cfg(test)]
@@ -379,5 +480,41 @@ mod tests {
             validate_adjacency(&m),
             Err(ApspError::InvalidInput(_))
         ));
+    }
+
+    #[test]
+    fn plain_and_tracked_solves_share_one_metrics_window() {
+        use crate::{BlockedCollectBroadcast, BlockedInMemory, FloydWarshall2D, RepeatedSquaring};
+        // Every front-end is measured by the seam, from the loop's first job
+        // through the final collect: tracking adds payloads, never a job.
+        let adj = apsp_graph::generators::erdos_renyi_paper(64, 0.1, 3).to_dense();
+        let sc = SparkContext::new(SparkConfig::with_cores(2));
+        for solver in [
+            &BlockedCollectBroadcast as &dyn ApspSolver,
+            &BlockedInMemory,
+            &FloydWarshall2D,
+            &RepeatedSquaring,
+        ] {
+            let counts = |cfg: SolverConfig| {
+                let m = solver.solve(&sc, &adj, &cfg).unwrap().metrics;
+                (m.jobs, m.stages, m.tasks, m.shuffles, m.collected_records)
+            };
+            assert_eq!(
+                counts(SolverConfig::new(16)),
+                counts(SolverConfig::new(16).with_paths()),
+                "{}: (jobs, stages, tasks, shuffles, collected records)",
+                solver.name()
+            );
+        }
+    }
+
+    #[test]
+    fn loops_without_a_full_grid_variant_are_a_typed_error() {
+        let adj = apsp_graph::generators::cycle(8).to_dense();
+        let ctx = SparkContext::new(SparkConfig::with_cores(2));
+        for lp in [Loop::Im, Loop::Rs] {
+            let err = solve_apsp(&ctx, &adj, &SolverConfig::new(4), (lp, Grid::Full)).unwrap_err();
+            assert!(matches!(err, ApspError::InvalidConfig(_)), "{lp:?}");
+        }
     }
 }
